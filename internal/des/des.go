@@ -5,43 +5,12 @@
 // server with a fixed worker count.
 package des
 
-import (
-	"container/heap"
+import "repro/internal/clock"
 
-	"repro/internal/clock"
-)
-
-// event is one scheduled occurrence.
-type event struct {
-	at   clock.Time
-	seq  int // tie-breaker for determinism
-	fire func(now clock.Time)
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// Sim is a discrete-event simulation run.
+// Sim is a discrete-event simulation run: a Queue of callbacks.
 type Sim struct {
-	now  clock.Time
-	heap eventHeap
-	seq  int
+	now clock.Time
+	q   Queue[func(now clock.Time)]
 }
 
 // Now returns the current simulation time.
@@ -52,8 +21,7 @@ func (s *Sim) At(t clock.Time, fire func(now clock.Time)) {
 	if t < s.now {
 		t = s.now
 	}
-	s.seq++
-	heap.Push(&s.heap, &event{at: t, seq: s.seq, fire: fire})
+	s.q.Push(t, fire)
 }
 
 // After schedules fire after delay d.
@@ -61,16 +29,21 @@ func (s *Sim) After(d clock.Time, fire func(now clock.Time)) {
 	s.At(s.now+d, fire)
 }
 
-// Run processes events until the horizon (or the queue drains).
+// Run processes events until the horizon (or the queue drains). Events
+// past the horizon stay queued.
 func (s *Sim) Run(horizon clock.Time) {
-	for s.heap.Len() > 0 {
-		e := heap.Pop(&s.heap).(*event)
-		if e.at > horizon {
+	for {
+		at, ok := s.q.Peek()
+		if !ok {
+			return
+		}
+		if at > horizon {
 			s.now = horizon
 			return
 		}
-		s.now = e.at
-		e.fire(s.now)
+		var fire func(clock.Time)
+		s.now, fire = s.q.Pop()
+		fire(s.now)
 	}
 }
 

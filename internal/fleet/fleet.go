@@ -39,7 +39,8 @@ type Config struct {
 	// demand is an exponential draw around it (seeded, deterministic).
 	MeanReqs int
 	// Arrivals is the open-loop arrival stream (Poisson, diurnal, or a
-	// parsed rate trace); Horizon closes the measurement window.
+	// parsed rate trace), sorted by time; Horizon closes the
+	// measurement window.
 	Arrivals []des.Arrival
 	Horizon  clock.Time
 	// Seed drives the demand draws and the eviction choice.
@@ -220,7 +221,8 @@ func (r *Result) Goodput(horizon clock.Time) float64 {
 // their node until a slot frees, run for boot + demand, and complete.
 // Everything is a pure function of the config, so the same config
 // yields the same Result — byte for byte — regardless of host
-// parallelism (the run touches no shared state).
+// parallelism (the run touches no shared state). Arrivals at or past
+// the horizon are ignored; unsorted arrivals are an error.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Nodes <= 0 || cfg.SlotsPerNode <= 0 {
 		return nil, fmt.Errorf("fleet: need nodes and slots, got %d x %d", cfg.Nodes, cfg.SlotsPerNode)
@@ -240,258 +242,25 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.ForkBoots && cfg.Costs.ForkBoot <= 0 {
 		return nil, fmt.Errorf("fleet: churn mode needs a positive fork-boot cost")
 	}
-	// arrivalBoot is how a fresh instance (an arrival, or a storm
-	// cold-redo) comes up in this run's arrival mode.
-	arrivalBoot, arrivalBootKind := cfg.Costs.Boot, trace.SegBoot
-	if cfg.ForkBoots {
-		arrivalBoot, arrivalBootKind = cfg.Costs.ForkBoot, trace.SegForkBoot
-	}
-
-	s := &des.Sim{}
-	res := &Result{}
-	// Node IDs are 1-based, matching container IDs: ID 0 means "no
-	// node" everywhere a node label can be absent (spans, metrics).
-	nodes := make([]*SimNode, cfg.Nodes)
-	for i := range nodes {
-		nodes[i] = NewSimNode(i+1, cfg.SlotsPerNode, cfg.QueueLimit)
-	}
-	// The demand stream and the eviction choice draw from separate
-	// seeded generators, so adding an eviction never perturbs the
-	// per-container demands.
-	demandRng := des.NewRand(cfg.Seed)
-	evictRng := des.NewRand(cfg.Seed ^ 0xe51c7e51c7)
-
-	view := make([]Pressure, cfg.Nodes)
-	refreshView := func() []Pressure {
-		for i, n := range nodes {
-			view[i] = n.Pressure()
+	// The arrivals stream through a cursor merged with the event queue,
+	// so they must come in time order, none before the run starts.
+	arrived := len(cfg.Arrivals)
+	var prev clock.Time
+	for i, a := range cfg.Arrivals {
+		if a.At < prev {
+			return nil, fmt.Errorf("fleet: arrival %d at %v is before %v: arrivals must be sorted by time from 0", i, a.At, prev)
 		}
-		return view
-	}
-
-	// rec is the request-trace sink; a nil *RequestRecorder is a valid
-	// no-op, so every emission below is unconditional. Timed segments
-	// (queue, boot, service, redo) are emitted retrospectively once
-	// their end is known; emitTimed skips empty intervals so waterfalls
-	// stay clean without breaking the tiling the conservation law checks.
-	rec := cfg.Requests
-	emitTimed := func(id trace.RequestID, kind string, at, dur clock.Time, node int) {
-		if dur > 0 {
-			rec.Emit(id, kind, at, dur, node, "")
+		prev = a.At
+		if a.At >= cfg.Horizon && arrived == len(cfg.Arrivals) {
+			arrived = i
 		}
 	}
-
-	var start func(n *SimNode, inst *instance, now clock.Time)
-	var place func(inst *instance, now clock.Time)
-
-	finish := func(n *SimNode, inst *instance, gen int) func(now clock.Time) {
-		return func(now clock.Time) {
-			if inst.gen != gen {
-				return // superseded by an eviction requeue
-			}
-			n.removeRunning(inst)
-			res.Completed++
-			res.Latencies = append(res.Latencies, now-inst.arrivedAt)
-			emitTimed(inst.id, inst.bootKind, inst.startedAt, inst.boot, n.id)
-			emitTimed(inst.id, trace.SegService, inst.startedAt+inst.boot, now-(inst.startedAt+inst.boot), n.id)
-			rec.Emit(inst.id, trace.SegComplete, now, 0, n.id, "")
-			if cfg.Observe != nil {
-				cfg.Observe.Completed(now, n.id, inst.id, now-inst.arrivedAt)
-			}
-			if len(n.queue) > 0 {
-				next := n.queue[0]
-				n.queue = n.queue[1:]
-				res.TotalQueueWait += now - next.enqueuedAt
-				emitTimed(next.id, trace.SegQueue, next.enqueuedAt, now-next.enqueuedAt, n.id)
-				start(n, next, now)
-			}
-		}
-	}
-
-	start = func(n *SimNode, inst *instance, now clock.Time) {
-		inst.node = n.id
-		inst.startedAt = now
-		n.running = append(n.running, inst)
-		n.Starts++
-		n.Requests += inst.reqs
-		s.After(inst.boot+inst.demand, finish(n, inst, inst.gen))
-	}
-
-	place = func(inst *instance, now clock.Time) {
-		id, ok := cfg.Sched.Place(refreshView())
-		if !ok {
-			res.Rejected++
-			rec.Emit(inst.id, trace.SegReject, now, 0, 0, "")
-			if cfg.Observe != nil {
-				cfg.Observe.Rejected(now)
-			}
-			return
-		}
-		n := nodes[id-1]
-		if len(n.running) < n.slots {
-			rec.Emit(inst.id, trace.SegPlacement, now, 0, n.id, "started")
-			start(n, inst, now)
-			return
-		}
-		rec.Emit(inst.id, trace.SegPlacement, now, 0, n.id, "queued")
-		inst.enqueuedAt = now
-		n.queue = append(n.queue, inst)
-		if len(n.queue) > n.MaxQueue {
-			n.MaxQueue = len(n.queue)
-		}
-		if len(n.queue) > res.MaxQueue {
-			res.MaxQueue = len(n.queue)
-		}
-	}
-
-	// Schedule the arrival stream. Demands are drawn in arrival order
-	// at generation time, keeping the stream independent of placement.
-	for _, a := range cfg.Arrivals {
-		if a.At >= cfg.Horizon {
-			break
-		}
-		reqs := 1 + int(demandRng.ExpFloat64()*float64(cfg.MeanReqs))
-		if max := 8 * cfg.MeanReqs; reqs > max {
-			reqs = max
-		}
-		id := a.ID
-		if id == 0 {
-			// Hand-built arrival streams (tests, closed fixtures) carry
-			// no minted ID; derive the same stable identity they would
-			// have gotten at the source.
-			id = trace.MintRequestID(cfg.Seed, a.Seq)
-		}
-		inst := &instance{
-			seq:       a.Seq,
-			id:        id,
-			arrivedAt: a.At,
-			boot:      arrivalBoot,
-			demand:    clock.Time(reqs) * cfg.Costs.Service,
-			reqs:      reqs,
-			bootKind:  arrivalBootKind,
-		}
-		s.At(a.At, func(now clock.Time) {
-			res.Arrived++
-			rec.Emit(inst.id, trace.SegArrival, now, 0, 0, "")
-			if cfg.Observe != nil {
-				cfg.Observe.Arrival(now)
-			}
-			place(inst, now)
-		})
-	}
-
-	// The eviction storm: EvictNodes seeded-chosen nodes go down at
-	// EvictAt; every container on them re-enters the scheduler at
-	// once. Snapshot-aged containers restore warm (remaining demand
-	// preserved, WarmRestore boot); young ones redo from scratch.
-	if cfg.EvictAt > 0 && cfg.EvictNodes > 0 {
-		victims := make([]int, 0, cfg.EvictNodes)
-		taken := make(map[int]bool, cfg.EvictNodes)
-		for len(victims) < cfg.EvictNodes && len(victims) < cfg.Nodes {
-			id := 1 + int(evictRng.Uint64()%uint64(cfg.Nodes))
-			if !taken[id] {
-				taken[id] = true
-				victims = append(victims, id)
-			}
-		}
-		sort.Ints(victims)
-		s.At(cfg.EvictAt, func(now clock.Time) {
-			for _, id := range victims {
-				n := nodes[id-1]
-				n.down = true
-				n.Crashed = true
-				displaced := append(append([]*instance(nil), n.running...), n.queue...)
-				running := len(n.running)
-				n.running = n.running[:0]
-				n.queue = n.queue[:0]
-				for i, inst := range displaced {
-					inst.restarts++
-					n.Evicted++
-					res.Evicted++
-					outcome := EvictRequeued
-					if i < running {
-						// Was running: decide warm vs cold by snapshot age.
-						elapsed := now - inst.startedAt
-						ran := elapsed - inst.boot
-						if ran < 0 {
-							ran = 0
-						}
-						if elapsed >= cfg.SnapshotAge && cfg.Costs.WarmRestore > 0 {
-							res.WarmRestores++
-							outcome = EvictWarm
-							if elapsed < inst.boot {
-								// Displaced mid-boot: the partial boot
-								// is wasted (the restore replaces it).
-								emitTimed(inst.id, trace.SegStormRedo, inst.startedAt, elapsed, id)
-							} else {
-								// The finished boot and the service the
-								// snapshot preserves counted toward
-								// completion; only work past the
-								// preservation point is redone.
-								emitTimed(inst.id, inst.bootKind, inst.startedAt, inst.boot, id)
-								preserved := ran
-								if ran >= inst.demand {
-									preserved = inst.demand - cfg.Costs.Service // final request redone
-									if preserved < 0 {
-										preserved = 0
-									}
-								}
-								emitTimed(inst.id, trace.SegService, inst.startedAt+inst.boot, preserved, id)
-								emitTimed(inst.id, trace.SegStormRedo, inst.startedAt+inst.boot+preserved, ran-preserved, id)
-							}
-							inst.boot = cfg.Costs.WarmRestore
-							inst.bootKind = trace.SegWarmRestore
-							if ran < inst.demand {
-								inst.demand -= ran
-							} else {
-								inst.demand = cfg.Costs.Service // final request redone
-							}
-						} else {
-							res.ColdRedos++
-							outcome = EvictCold
-							// Redone from scratch: everything since the
-							// start — boot included — is storm tax.
-							emitTimed(inst.id, trace.SegStormRedo, inst.startedAt, elapsed, id)
-							inst.boot = arrivalBoot
-							inst.bootKind = arrivalBootKind
-							inst.demand = clock.Time(inst.reqs) * cfg.Costs.Service
-						}
-						inst.gen++ // poison the in-flight completion
-					} else {
-						emitTimed(inst.id, trace.SegQueue, inst.enqueuedAt, now-inst.enqueuedAt, id)
-					}
-					rec.Emit(inst.id, trace.SegEvict, now, 0, id, outcome.String())
-					if cfg.Observe != nil {
-						cfg.Observe.Evicted(now, id, outcome)
-					}
-					place(inst, now)
-				}
-			}
-		})
-		if cfg.DownFor > 0 {
-			s.At(cfg.EvictAt+cfg.DownFor, func(now clock.Time) {
-				for _, id := range victims {
-					nodes[id-1].down = false
-				}
-			})
-		}
-	}
-
-	// Telemetry scrape points. Scheduled after arrivals and the storm,
-	// so at an equal timestamp a scrape samples the state those events
-	// left behind; the hooks are pure, so this changes nothing measured.
-	if cfg.Observe != nil && cfg.ScrapeEvery > 0 {
-		for t := cfg.ScrapeEvery; t <= cfg.Horizon; t += cfg.ScrapeEvery {
-			s.At(t, func(now clock.Time) {
-				cfg.Observe.Scrape(now, refreshView())
-			})
-		}
-	}
-
-	s.Run(cfg.Horizon)
-
-	for _, n := range nodes {
-		res.QueuedAtHorizon += len(n.queue)
+	e := newEngine(cfg, arrived)
+	e.run()
+	res := e.res
+	for i := range e.nodes {
+		n := &e.nodes[i]
+		res.QueuedAtHorizon += n.queued()
 		res.RunningAtHorizon += len(n.running)
 		res.Nodes = append(res.Nodes, NodeStat{
 			Node: n.id, Starts: n.Starts, Requests: n.Requests,
@@ -502,4 +271,349 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// evKind tags a control-plane event.
+type evKind uint8
+
+const (
+	evFinish  evKind = iota // an instance's run on a node ends
+	evStorm                 // the eviction victims go down
+	evRestore               // the victims come back up
+	evScrape                // a telemetry sample point
+)
+
+// event is one queued control-plane occurrence. Arrivals never enter
+// the queue: they stream from the sorted Config.Arrivals.
+type event struct {
+	kind evKind
+	// node (0-based), inst (slab index) and gen identify a finish.
+	node int32
+	inst int32
+	gen  int32
+}
+
+// engine is one fleet run's state.
+type engine struct {
+	cfg   Config
+	res   *Result
+	q     des.Queue[event]
+	nodes []SimNode
+	// view is the scheduler's pressure view, kept current entry by entry.
+	view []Pressure
+	// insts is the instance slab: one entry per arrival before the
+	// horizon, filled in order as they fire.
+	insts []instance
+	// demandRng draws per-container demands; the eviction choice has its
+	// own generator, so adding an eviction never perturbs them.
+	demandRng *des.Rand
+	// victims are the storm's node IDs, ascending.
+	victims []int
+	// arrivalBoot is how a fresh instance (an arrival, or a storm
+	// cold-redo) comes up in this run's arrival mode.
+	arrivalBoot     clock.Time
+	arrivalBootKind string
+	// rec is the request-trace sink; a nil *RequestRecorder is a valid
+	// no-op, so every emission is unconditional.
+	rec *trace.RequestRecorder
+}
+
+func newEngine(cfg Config, arrived int) *engine {
+	e := &engine{
+		cfg:             cfg,
+		res:             &Result{Nodes: make([]NodeStat, 0, cfg.Nodes)},
+		nodes:           make([]SimNode, cfg.Nodes),
+		view:            make([]Pressure, cfg.Nodes),
+		insts:           make([]instance, arrived),
+		demandRng:       des.NewRand(cfg.Seed),
+		arrivalBoot:     cfg.Costs.Boot,
+		arrivalBootKind: trace.SegBoot,
+		rec:             cfg.Requests,
+	}
+	if cfg.ForkBoots {
+		e.arrivalBoot, e.arrivalBootKind = cfg.Costs.ForkBoot, trace.SegForkBoot
+	}
+	if arrived > 0 {
+		e.res.Latencies = make([]clock.Time, 0, arrived)
+	}
+	// Node IDs are 1-based, matching container IDs: ID 0 means "no
+	// node" everywhere a node label can be absent (spans, metrics). A
+	// node never runs more than its slots, and a well-behaved scheduler
+	// never queues past the admission bound, so every node's running
+	// set and queue are carved from two shared arrays.
+	slots, limit := cfg.SlotsPerNode, cfg.QueueLimit
+	running := make([]int32, cfg.Nodes*slots)
+	queue := make([]int32, cfg.Nodes*limit)
+	for i := range e.nodes {
+		e.nodes[i] = SimNode{
+			id: i + 1, slots: slots, queueLimit: limit,
+			running: running[i*slots : i*slots : (i+1)*slots],
+			queue:   queue[i*limit : i*limit : (i+1)*limit],
+		}
+		e.sync(i)
+	}
+	return e
+}
+
+// run drains the arrival stream and the event queue up to the horizon.
+// An arrival wins a tie with any queued event at an equal time, as if
+// every arrival had been queued before anything else.
+func (e *engine) run() {
+	e.schedule()
+	// At most one live finish per slot is in flight.
+	e.q.Grow(e.cfg.Nodes * e.cfg.SlotsPerNode)
+	next := 0
+	for {
+		at, ok := e.q.Peek()
+		if next < len(e.insts) && (!ok || e.cfg.Arrivals[next].At <= at) {
+			e.arrive(next)
+			next++
+			continue
+		}
+		if !ok || at > e.cfg.Horizon {
+			return
+		}
+		now, ev := e.q.Pop()
+		switch ev.kind {
+		case evFinish:
+			e.finish(int(ev.node), ev.inst, ev.gen, now)
+		case evStorm:
+			e.storm(now)
+		case evRestore:
+			for _, id := range e.victims {
+				e.nodes[id-1].down = false
+				e.sync(id - 1)
+			}
+		case evScrape:
+			e.cfg.Observe.Scrape(now, e.view)
+		}
+	}
+}
+
+// schedule queues the storm, its end and the telemetry scrape points.
+// Scrapes come after the storm, so at an equal timestamp a scrape
+// samples the state the storm left behind; the hooks are pure, so this
+// changes nothing measured.
+func (e *engine) schedule() {
+	cfg := e.cfg
+	// The eviction storm: EvictNodes seeded-chosen nodes go down at
+	// EvictAt; every container on them re-enters the scheduler at
+	// once.
+	if cfg.EvictAt > 0 && cfg.EvictNodes > 0 {
+		evictRng := des.NewRand(cfg.Seed ^ 0xe51c7e51c7)
+		taken := make(map[int]bool, cfg.EvictNodes)
+		for len(e.victims) < cfg.EvictNodes && len(e.victims) < cfg.Nodes {
+			id := 1 + int(evictRng.Uint64()%uint64(cfg.Nodes))
+			if !taken[id] {
+				taken[id] = true
+				e.victims = append(e.victims, id)
+			}
+		}
+		sort.Ints(e.victims)
+		e.q.Push(cfg.EvictAt, event{kind: evStorm})
+		if cfg.DownFor > 0 {
+			e.q.Push(cfg.EvictAt+cfg.DownFor, event{kind: evRestore})
+		}
+	}
+	if cfg.Observe != nil && cfg.ScrapeEvery > 0 {
+		for t := cfg.ScrapeEvery; t <= cfg.Horizon; t += cfg.ScrapeEvery {
+			e.q.Push(t, event{kind: evScrape})
+		}
+	}
+}
+
+// sync refreshes node k's entry in the pressure view.
+func (e *engine) sync(k int) { e.view[k] = e.nodes[k].Pressure() }
+
+// emitTimed records a timed request segment, skipping empty intervals
+// so waterfalls stay clean without breaking the tiling the
+// conservation law checks. Timed segments (queue, boot, service, redo)
+// are emitted retrospectively once their end is known.
+func (e *engine) emitTimed(id trace.RequestID, kind string, at, dur clock.Time, node int) {
+	if dur > 0 {
+		e.rec.Emit(id, kind, at, dur, node, "")
+	}
+}
+
+// arrive fires arrival i: its demand is drawn here, in arrival order,
+// which keeps the stream independent of placement.
+func (e *engine) arrive(i int) {
+	a := e.cfg.Arrivals[i]
+	reqs := 1 + int(e.demandRng.ExpFloat64()*float64(e.cfg.MeanReqs))
+	if max := 8 * e.cfg.MeanReqs; reqs > max {
+		reqs = max
+	}
+	id := a.ID
+	if id == 0 {
+		// Hand-built arrival streams (tests, closed fixtures) carry
+		// no minted ID; derive the same stable identity they would
+		// have gotten at the source.
+		id = trace.MintRequestID(e.cfg.Seed, a.Seq)
+	}
+	e.insts[i] = instance{
+		id:        id,
+		arrivedAt: a.At,
+		boot:      e.arrivalBoot,
+		demand:    clock.Time(reqs) * e.cfg.Costs.Service,
+		reqs:      reqs,
+		bootKind:  e.arrivalBootKind,
+	}
+	e.res.Arrived++
+	e.rec.Emit(id, trace.SegArrival, a.At, 0, 0, "")
+	if e.cfg.Observe != nil {
+		e.cfg.Observe.Arrival(a.At)
+	}
+	e.place(int32(i), a.At)
+}
+
+// place hands instance i to the scheduler: it starts, queues, or is
+// rejected.
+func (e *engine) place(i int32, now clock.Time) {
+	inst := &e.insts[i]
+	id, ok := e.cfg.Sched.Place(e.view)
+	if !ok {
+		e.res.Rejected++
+		e.rec.Emit(inst.id, trace.SegReject, now, 0, 0, "")
+		if e.cfg.Observe != nil {
+			e.cfg.Observe.Rejected(now)
+		}
+		return
+	}
+	n := &e.nodes[id-1]
+	if len(n.running) < n.slots {
+		e.rec.Emit(inst.id, trace.SegPlacement, now, 0, n.id, "started")
+		e.start(id-1, i, now)
+		return
+	}
+	e.rec.Emit(inst.id, trace.SegPlacement, now, 0, n.id, "queued")
+	inst.enqueuedAt = now
+	n.enqueue(i)
+	q := n.queued()
+	if q > n.MaxQueue {
+		n.MaxQueue = q
+	}
+	if q > e.res.MaxQueue {
+		e.res.MaxQueue = q
+	}
+	e.sync(id - 1)
+}
+
+// start runs instance i on node k and queues its finish.
+func (e *engine) start(k int, i int32, now clock.Time) {
+	n, inst := &e.nodes[k], &e.insts[i]
+	inst.startedAt = now
+	n.running = append(n.running, i)
+	n.Starts++
+	n.Requests += inst.reqs
+	e.q.Push(now+inst.boot+inst.demand, event{kind: evFinish, node: int32(k), inst: i, gen: inst.gen})
+	e.sync(k)
+}
+
+// finish completes instance i on node k unless an eviction superseded
+// the run that queued this event, then starts the node's next queued
+// instance.
+func (e *engine) finish(k int, i int32, gen int32, now clock.Time) {
+	n, inst := &e.nodes[k], &e.insts[i]
+	if inst.gen != gen {
+		return // superseded by an eviction requeue
+	}
+	n.removeRunning(i)
+	e.res.Completed++
+	e.res.Latencies = append(e.res.Latencies, now-inst.arrivedAt)
+	e.emitTimed(inst.id, inst.bootKind, inst.startedAt, inst.boot, n.id)
+	e.emitTimed(inst.id, trace.SegService, inst.startedAt+inst.boot, now-(inst.startedAt+inst.boot), n.id)
+	e.rec.Emit(inst.id, trace.SegComplete, now, 0, n.id, "")
+	if e.cfg.Observe != nil {
+		e.cfg.Observe.Completed(now, n.id, inst.id, now-inst.arrivedAt)
+	}
+	if n.queued() > 0 {
+		j := n.dequeue()
+		next := &e.insts[j]
+		e.res.TotalQueueWait += now - next.enqueuedAt
+		e.emitTimed(next.id, trace.SegQueue, next.enqueuedAt, now-next.enqueuedAt, n.id)
+		e.start(k, j, now)
+		return
+	}
+	e.sync(k)
+}
+
+// storm takes the victims down one by one. Every container on a victim
+// re-enters the scheduler at once: snapshot-aged ones restore warm
+// (remaining demand preserved, WarmRestore boot), young ones redo from
+// scratch, queued ones just requeue.
+func (e *engine) storm(now clock.Time) {
+	cfg := e.cfg
+	var displaced []int32
+	for _, id := range e.victims {
+		n := &e.nodes[id-1]
+		n.down = true
+		n.Crashed = true
+		displaced = append(append(displaced[:0], n.running...), n.queue[n.qhead:]...)
+		running := len(n.running)
+		n.running = n.running[:0]
+		n.queue, n.qhead = n.queue[:0], 0
+		e.sync(id - 1)
+		for d, i := range displaced {
+			inst := &e.insts[i]
+			n.Evicted++
+			e.res.Evicted++
+			outcome := EvictRequeued
+			if d < running {
+				// Was running: decide warm vs cold by snapshot age.
+				elapsed := now - inst.startedAt
+				ran := elapsed - inst.boot
+				if ran < 0 {
+					ran = 0
+				}
+				if elapsed >= cfg.SnapshotAge && cfg.Costs.WarmRestore > 0 {
+					e.res.WarmRestores++
+					outcome = EvictWarm
+					if elapsed < inst.boot {
+						// Displaced mid-boot: the partial boot
+						// is wasted (the restore replaces it).
+						e.emitTimed(inst.id, trace.SegStormRedo, inst.startedAt, elapsed, id)
+					} else {
+						// The finished boot and the service the
+						// snapshot preserves counted toward
+						// completion; only work past the
+						// preservation point is redone.
+						e.emitTimed(inst.id, inst.bootKind, inst.startedAt, inst.boot, id)
+						preserved := ran
+						if ran >= inst.demand {
+							preserved = inst.demand - cfg.Costs.Service // final request redone
+							if preserved < 0 {
+								preserved = 0
+							}
+						}
+						e.emitTimed(inst.id, trace.SegService, inst.startedAt+inst.boot, preserved, id)
+						e.emitTimed(inst.id, trace.SegStormRedo, inst.startedAt+inst.boot+preserved, ran-preserved, id)
+					}
+					inst.boot = cfg.Costs.WarmRestore
+					inst.bootKind = trace.SegWarmRestore
+					if ran < inst.demand {
+						inst.demand -= ran
+					} else {
+						inst.demand = cfg.Costs.Service // final request redone
+					}
+				} else {
+					e.res.ColdRedos++
+					outcome = EvictCold
+					// Redone from scratch: everything since the
+					// start — boot included — is storm tax.
+					e.emitTimed(inst.id, trace.SegStormRedo, inst.startedAt, elapsed, id)
+					inst.boot = e.arrivalBoot
+					inst.bootKind = e.arrivalBootKind
+					inst.demand = clock.Time(inst.reqs) * cfg.Costs.Service
+				}
+				inst.gen++ // poison the in-flight completion
+			} else {
+				e.emitTimed(inst.id, trace.SegQueue, inst.enqueuedAt, now-inst.enqueuedAt, id)
+			}
+			e.rec.Emit(inst.id, trace.SegEvict, now, 0, id, outcome.String())
+			if cfg.Observe != nil {
+				cfg.Observe.Evicted(now, id, outcome)
+			}
+			e.place(i, now)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -312,6 +313,25 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("bad config %d accepted", i)
+		}
+	}
+	// Arrivals must be sorted from time 0; the error names the first
+	// offending index, even past the horizon.
+	for _, tc := range []struct {
+		atUs []clock.Time
+		want string
+	}{
+		{[]clock.Time{0, 2, 2, 1, 0}, "arrival 3 "},
+		{[]clock.Time{-1, 0}, "arrival 0 "},
+		{[]clock.Time{0, 5, 9000, 1}, "arrival 3 "},
+	} {
+		cfg := Config{Nodes: 1, SlotsPerNode: 1, Costs: testCosts(), Sched: Spread{}, Horizon: clock.Millisecond}
+		for i, at := range tc.atUs {
+			cfg.Arrivals = append(cfg.Arrivals, des.Arrival{At: at * clock.Microsecond, Seq: i})
+		}
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("arrivals %vµs: err %v, want one naming %q", tc.atUs, err, tc.want)
 		}
 	}
 }

@@ -24,8 +24,8 @@ import (
 // Pressure is a node's load signal as the scheduler sees it: how many
 // container slots exist, how many are running, how deep the start
 // queue is, and whether the node is down (evicted, draining). The
-// control plane rebuilds this view before every placement, so
-// schedulers act on current — not stale — state.
+// control plane updates a node's entry whenever its running, queued or
+// down state changes, so schedulers act on current — not stale — state.
 type Pressure struct {
 	Node       int
 	Slots      int
@@ -58,9 +58,10 @@ type Node interface {
 	Pressure() Pressure
 }
 
-// instance is one placed container's control-plane state.
+// instance is one placed container's control-plane state. A run keeps
+// its instances in one slab indexed by arrival; nodes and events refer
+// to them by that index.
 type instance struct {
-	seq int
 	// id is the request's causal-tracing identity, minted at the DES
 	// arrival source and carried unchanged across evictions.
 	id trace.RequestID
@@ -80,13 +81,10 @@ type instance struct {
 	bootKind string
 	// reqs is the request count backing demand (the replay work list).
 	reqs int
-	node int
 	// gen invalidates the in-flight completion event after an
-	// eviction (the DES heap has no cancellation): the event captures
+	// eviction (the event queue has no cancellation): the event carries
 	// gen at start and fires only if it still matches.
-	gen int
-	// restarts counts evictions survived.
-	restarts int
+	gen int32
 }
 
 // SimNode is the control plane's value-style node: slot and queue
@@ -97,9 +95,13 @@ type SimNode struct {
 	id         int
 	slots      int
 	queueLimit int
-	running    []*instance
-	queue      []*instance
-	down       bool
+	// running and queue hold instance slab indices in start and arrival
+	// order; the queue's live part is queue[qhead:], so a dequeue does
+	// not reslice away the backing array.
+	running []int32
+	queue   []int32
+	qhead   int
+	down    bool
 
 	// Stats accumulated for the per-node report.
 	Starts   int
@@ -124,14 +126,39 @@ func (n *SimNode) Pressure() Pressure {
 		Node:       n.id,
 		Slots:      n.slots,
 		Running:    len(n.running),
-		Queued:     len(n.queue),
+		Queued:     n.queued(),
 		QueueLimit: n.queueLimit,
 		Down:       n.down,
 	}
 }
 
-// removeRunning drops inst from the running set.
-func (n *SimNode) removeRunning(inst *instance) {
+// queued is the start queue's depth.
+func (n *SimNode) queued() int { return len(n.queue) - n.qhead }
+
+// enqueue appends inst to the start queue, first sliding the live part
+// to the front when the backing array is full, so a queue that stays
+// within its high-water mark never reallocates.
+func (n *SimNode) enqueue(inst int32) {
+	if len(n.queue) == cap(n.queue) && n.qhead > 0 {
+		n.queue = n.queue[:copy(n.queue, n.queue[n.qhead:])]
+		n.qhead = 0
+	}
+	n.queue = append(n.queue, inst)
+}
+
+// dequeue removes and returns the queue's head; the queue must be
+// non-empty.
+func (n *SimNode) dequeue() int32 {
+	inst := n.queue[n.qhead]
+	n.qhead++
+	if n.qhead == len(n.queue) {
+		n.queue, n.qhead = n.queue[:0], 0
+	}
+	return inst
+}
+
+// removeRunning drops inst from the running set, keeping start order.
+func (n *SimNode) removeRunning(inst int32) {
 	for i, r := range n.running {
 		if r == inst {
 			n.running = append(n.running[:i], n.running[i+1:]...)

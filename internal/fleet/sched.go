@@ -10,7 +10,8 @@ import (
 // per-node pressure view, or reports that no node can admit it (the
 // backpressure signal: the arrival is rejected, not queued forever).
 // Implementations must be pure functions of the view so placement is
-// deterministic.
+// deterministic, and must not modify it: the view is the control
+// plane's live copy, updated in place as node state changes.
 type Scheduler interface {
 	Name() string
 	Place(view []Pressure) (node int, ok bool)
