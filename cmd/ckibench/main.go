@@ -1,4 +1,5 @@
-// Command ckibench regenerates the paper's tables and figures.
+// Command ckibench regenerates the paper's tables and figures, the
+// extension experiments, and their committed BENCH_<id>.json artifacts.
 //
 // Usage:
 //
@@ -7,576 +8,116 @@
 //	ckibench -scale 4        # larger workloads (slower, smoother)
 //	ckibench -list           # list experiment ids
 //
-// Grid experiments fan their independent cells out to host goroutines;
-// -parallel caps the fan-out (default GOMAXPROCS). Every artifact is
-// byte-identical for any -parallel value — cells are fully isolated
-// simulations on their own virtual clocks, assembled in a fixed order.
+// Table mode prints every experiment as a "--- id: title ---" header
+// followed by its tables. -json prints the experiment's JSON report
+// instead, with no header: the committed artifact's exact bytes.
 //
-//	ckibench -exp smp -json -parallel 8
+//	ckibench -exp smp -json > BENCH_smp.json
+//
+// Grid experiments fan their independent cells out to host goroutines;
+// -parallel caps the fan-out (default GOMAXPROCS) in every mode. Every
+// artifact is byte-identical for any -parallel value — cells are fully
+// isolated simulations on their own virtual clocks, assembled in a
+// fixed order.
+//
 //	ckibench -exp chaos -json -seeds 16 -parallel 8   # seed sweep
 //
-// The smp experiment can additionally emit observability artifacts
-// (all timestamps are virtual, so the bytes are identical across runs):
+// Flags beyond -exp/-scale/-parallel/-list/-json belong to the
+// experiments that declare them (ckibench -h names each flag's owners);
+// setting one for any other experiment is a usage error (exit 2).
+// Most write side outputs — all timestamps are virtual, so their bytes
+// are identical across runs:
 //
 //	ckibench -exp smp -trace-out smp.trace.json    # Chrome/Perfetto trace
 //	ckibench -exp smp -spans-out smp.spans.json    # span profile (ckitrace -in)
 //	ckibench -exp smp -metrics-out smp.metrics.json
 //	ckibench -exp smp -audit-out smp.audit.log     # machine-event log (ckireplay -in)
+//	ckibench -exp smp -baseline BENCH_smp.json     # fail on >10% throughput regression
+//	ckibench -exp snapshot -snap-out cki.snap      # CKISNAP1 checkpoint image
+//	ckibench -exp slo -slo-out tl -bundle-out bd   # CKITS1 timelines, postmortem bundles
+//	ckibench -exp fleet -scrape-interval 50us -slo-out fleet.ckits
 //
-// It can also be gated against a committed baseline report, failing the
-// invocation when throughput regresses beyond the tolerance:
-//
-//	ckibench -exp smp -baseline BENCH_smp.json
+// Others reshape a fleet run: -nodes (fleet, slo, tail, serverless),
+// -sched, -arrival-rate and -trace-file (fleet), -churn-rate and
+// -fork-mode (serverless).
 //
 // The wallclock experiment measures the simulator itself (host ns/op,
-// allocs/op, parallel speedup) and emits the BENCH_wallclock artifact:
+// allocs/op, parallel speedup) rather than the model, so its
+// BENCH_wallclock.json is a snapshot, not a reproducible artifact:
 //
-//	ckibench -exp wallclock > BENCH_wallclock.json
-//
-// The snapshot experiment measures checkpoint/restore latency, live
-// migration (iterative pre-copy with dirty-page tracking) and
-// warm-vs-cold restart recovery, emitting the BENCH_snapshot artifact;
-// -snap-out additionally writes a CKISNAP1 checkpoint image (the CI
-// smoke job corrupts a copy, then restores the intact one):
-//
-//	ckibench -exp snapshot -json > BENCH_snapshot.json
-//	ckibench -exp snapshot -snap-out cki.snap
-//
-// The fleet experiment simulates datacenter-scale serving: open-loop
-// heavy-traffic arrivals placed across a fleet of simulated nodes by a
-// pluggable scheduler, with capacity curves, p50/p99/p999 tails, and a
-// per-node machine replay stage. It emits the BENCH_fleet artifact:
-//
-//	ckibench -exp fleet -json > BENCH_fleet.json
-//	ckibench -exp fleet -nodes 8 -sched spread       # smaller fleet, one scheduler
-//	ckibench -exp fleet -arrival-rate 50000          # one segment at 50k arrivals/s
-//	ckibench -exp fleet -trace-file diurnal.trace    # piecewise rate trace
-//
-// The tail experiment traces every request's lifecycle through the
-// eviction-storm scenario and attributes tail latency to exact causal
-// components (queue, boot, warm restore, service, storm redo — they
-// sum to the end-to-end latency, picosecond-exact), with bucket
-// exemplars and top-K waterfalls. It emits the BENCH_tail artifact;
-// ckitrace -tail renders any request's waterfall from it:
-//
-//	ckibench -exp tail -json > BENCH_tail.json
-//	ckibench -exp tail -nodes 8                      # smaller fleet
-//
-// The serverless experiment measures cold-start latency and high-churn
-// serving under the fork-from-snapshot fast path: per-runtime
-// calibration of the four instantiation paths (cold boot, eager
-// restore, COW fork, lazy fork), a machine-level churn loop against
-// one shared page store, and a fleet churn grid with per-request
-// cold-start attribution. It emits the BENCH_serverless artifact:
-//
-//	ckibench -exp serverless -json > BENCH_serverless.json
-//	ckibench -exp serverless -fork-mode lazy         # one instantiation mode
-//	ckibench -exp serverless -churn-rate 30000       # absolute arrival rate
+//	ckibench -exp wallclock -json > BENCH_wallclock.json
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"strings"
-
-	"repro/internal/audit"
 	"repro/internal/bench"
-	"repro/internal/clock"
-	"repro/internal/fleet"
-	"repro/internal/telemetry"
 )
 
-// writeTimeline writes a merged fleet timeline: CKITS1 binary when the
-// path ends in .ckits, JSON export otherwise.
-func writeTimeline(path string, st *telemetry.Store) error {
-	if st == nil {
-		return errors.New("-slo-out: no timeline collected (is -scrape-interval set?)")
+// invocation is one parsed command line.
+type invocation struct {
+	exps []bench.Experiment // the selected experiment, or all of them
+	list bool
+	args bench.Args
+}
+
+// parse parses argv into an invocation. A returned error is a usage
+// error: ckibench exits 2 on it.
+func parse(fs *flag.FlagSet, argv []string) (invocation, error) {
+	var inv invocation
+	exp := fs.String("exp", "", "experiment id (empty = all)")
+	fs.BoolVar(&inv.list, "list", false, "list experiments and exit")
+	inv.args.Register(fs)
+	if err := fs.Parse(argv); err != nil {
+		return inv, err
 	}
-	if strings.HasSuffix(path, ".ckits") {
-		return os.WriteFile(path, st.EncodeBinary(), 0o644)
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	var selected bench.Experiment // the zero Experiment owns no flag
+	inv.exps = bench.Experiments()
+	if *exp != "" {
+		e, ok := bench.Find(*exp)
+		if !ok {
+			return inv, fmt.Errorf("unknown experiment %q (try -list)", *exp)
+		}
+		selected, inv.exps = e, []bench.Experiment{e}
 	}
-	b, err := st.Export().JSON()
+	return inv, inv.args.Check(selected, set)
+}
+
+// run runs e and writes its report to w: the JSON report with -json,
+// else the header and the tables.
+func run(e bench.Experiment, a bench.Args, w io.Writer) error {
+	rep, err := e.Run(a)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-func writeFile(path string, data []byte) {
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "ckibench: %v\n", err)
-		os.Exit(1)
+	if a.JSON {
+		return rep.(bench.JSONReport).WriteJSON(w)
 	}
-}
-
-// gateBaseline compares cur against the committed report at path and
-// exits non-zero when any runtime's throughput regressed beyond the
-// default tolerance — the perf-trajectory gate CI runs on every change.
-func gateBaseline(path string, cur *bench.SMPReport) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ckibench: baseline: %v\n", err)
-		os.Exit(1)
-	}
-	old := &bench.SMPReport{}
-	if err := json.Unmarshal(b, old); err != nil {
-		fmt.Fprintf(os.Stderr, "ckibench: baseline %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	deltas, err := bench.CompareReports(old, cur)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ckibench: baseline: %v\n", err)
-		os.Exit(1)
-	}
-	if err := bench.WriteDeltaTable(deltas, bench.DefaultRegressionTolerance, os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "ckibench: %v\n", err)
-		os.Exit(1)
-	}
-	if bad := bench.ThroughputRegressions(deltas, bench.DefaultRegressionTolerance); len(bad) > 0 {
-		for _, d := range bad {
-			fmt.Fprintf(os.Stderr, "ckibench: REGRESSION: %s x%d throughput %.0f -> %.0f (%+.1f%%)\n",
-				d.Runtime, d.VCPUs, d.Old, d.New, 100*d.Rel)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("baseline gate: PASS (throughput within %.0f%% of %s)\n",
-		100*bench.DefaultRegressionTolerance, path)
-}
-
-// config is the parsed flag set, separated from flag.Parse so the
-// validation rules are unit-testable.
-type config struct {
-	exp        string
-	scale      int
-	jsonOut    bool
-	traceOut   string
-	spansOut   string
-	metricsOut string
-	auditOut   string
-	baseline   string
-	parallel   int
-	seeds      int
-	snapOut    string
-	interval   int
-	nodes      int
-	sched      string
-	arrival    float64
-	traceFile  string
-	scrapeIv   string
-	sloOut     string
-	bundleOut  string
-	churnRate  float64
-	forkMode   string
-}
-
-// fleetFlags reports whether any fleet-only flag is set (-nodes is
-// shared with -exp slo and validated separately).
-func (c config) fleetFlags() bool {
-	return c.sched != "" || c.arrival != 0 || c.traceFile != ""
-}
-
-// parseScrapeInterval resolves -scrape-interval ("" = unset).
-func (c config) parseScrapeInterval() (clock.Time, error) {
-	if c.scrapeIv == "" {
-		return 0, nil
-	}
-	d, err := clock.ParseTime(c.scrapeIv)
-	if err != nil {
-		return 0, fmt.Errorf("-scrape-interval: %w", err)
-	}
-	if d <= 0 {
-		return 0, errors.New("-scrape-interval must be > 0")
-	}
-	return d, nil
-}
-
-// needProf reports whether any span/metrics artifact flag is set.
-func (c config) needProf() bool {
-	return c.traceOut != "" || c.spansOut != "" || c.metricsOut != ""
-}
-
-// validate returns a usage error (exit 2) for flag combinations that
-// would otherwise be silently ignored or are meaningless.
-func validate(c config) error {
-	if c.parallel < 1 {
-		return errors.New("-parallel must be >= 1")
-	}
-	if c.seeds < 1 {
-		return errors.New("-seeds must be >= 1")
-	}
-	if (c.needProf() || c.auditOut != "" || c.baseline != "") && c.exp != "smp" {
-		return errors.New("-trace-out/-spans-out/-metrics-out/-audit-out/-baseline require -exp smp")
-	}
-	if c.needProf() && c.auditOut != "" {
-		return errors.New("-audit-out cannot be combined with the span/metrics artifact flags")
-	}
-	if c.seeds > 1 && !(c.exp == "chaos" && c.jsonOut) {
-		return errors.New("-seeds requires -exp chaos -json")
-	}
-	if c.interval < 1 {
-		return errors.New("-checkpoint-interval must be >= 1")
-	}
-	if (c.snapOut != "" || c.interval != 1) && c.exp != "snapshot" {
-		return errors.New("-snap-out/-checkpoint-interval require -exp snapshot")
-	}
-	if c.fleetFlags() && c.exp != "fleet" {
-		return errors.New("-sched/-arrival-rate/-trace-file require -exp fleet")
-	}
-	if c.nodes != 0 && c.exp != "fleet" && c.exp != "slo" && c.exp != "tail" && c.exp != "serverless" {
-		return errors.New("-nodes requires -exp fleet, slo, tail, or serverless")
-	}
-	if c.nodes < 0 {
-		return errors.New("-nodes must be >= 1")
-	}
-	if c.scrapeIv != "" {
-		if c.exp != "fleet" && c.exp != "slo" {
-			return errors.New("-scrape-interval requires -exp fleet or -exp slo")
-		}
-		if _, err := c.parseScrapeInterval(); err != nil {
-			return err
-		}
-	}
-	switch {
-	case c.sloOut == "":
-	case c.exp == "slo":
-	case c.exp == "fleet":
-		if c.scrapeIv == "" {
-			return errors.New("-slo-out with -exp fleet requires an explicit -scrape-interval (every cell must share one interval for the merged timeline)")
-		}
-	default:
-		return errors.New("-slo-out requires -exp fleet or -exp slo")
-	}
-	if c.bundleOut != "" && c.exp != "slo" {
-		return errors.New("-bundle-out requires -exp slo")
-	}
-	if c.sched != "" {
-		if _, err := fleet.SchedulerByName(c.sched); err != nil {
-			return err
-		}
-	}
-	if c.arrival < 0 {
-		return errors.New("-arrival-rate must be > 0")
-	}
-	if c.arrival != 0 && c.traceFile != "" {
-		return errors.New("-arrival-rate and -trace-file are mutually exclusive")
-	}
-	if (c.churnRate != 0 || c.forkMode != "") && c.exp != "serverless" {
-		return errors.New("-churn-rate/-fork-mode require -exp serverless")
-	}
-	if c.churnRate < 0 {
-		return errors.New("-churn-rate must be > 0")
-	}
-	switch c.forkMode {
-	case "", "cold", "eager", "cow", "lazy":
-	default:
-		return fmt.Errorf("-fork-mode must be cold, eager, cow, or lazy (got %q)", c.forkMode)
-	}
-	if c.jsonOut && c.exp != "chaos" && c.exp != "smp" && c.exp != "wallclock" && c.exp != "snapshot" && c.exp != "fleet" && c.exp != "slo" && c.exp != "tail" && c.exp != "serverless" {
-		return errors.New("-json is only supported with -exp chaos, smp, wallclock, snapshot, fleet, slo, tail, or serverless")
-	}
-	return nil
+	fmt.Fprintf(w, "--- %s: %s ---\n", e.ID, e.Title)
+	return rep.WriteTable(w)
 }
 
 func main() {
-	cfg := config{}
-	flag.StringVar(&cfg.exp, "exp", "", "experiment id (empty = all)")
-	flag.IntVar(&cfg.scale, "scale", 1, "workload scale factor")
-	list := flag.Bool("list", false, "list experiments and exit")
-	flag.BoolVar(&cfg.jsonOut, "json", false, "emit a JSON report instead of a table (chaos, smp, wallclock)")
-	flag.StringVar(&cfg.traceOut, "trace-out", "", "with -exp smp: write a Chrome trace-event JSON to FILE")
-	flag.StringVar(&cfg.spansOut, "spans-out", "", "with -exp smp: write the span profile JSON to FILE")
-	flag.StringVar(&cfg.metricsOut, "metrics-out", "", "with -exp smp: write the metrics snapshot JSON to FILE")
-	flag.StringVar(&cfg.auditOut, "audit-out", "", "with -exp smp: record the machine-event audit log to FILE")
-	flag.StringVar(&cfg.baseline, "baseline", "", "with -exp smp: compare against a committed report and fail on >10% throughput regression")
-	flag.IntVar(&cfg.parallel, "parallel", bench.DefaultParallel(), "max grid cells run concurrently (artifacts are byte-identical for any value)")
-	flag.IntVar(&cfg.seeds, "seeds", 1, "with -exp chaos -json: sweep this many derived seeds")
-	flag.StringVar(&cfg.snapOut, "snap-out", "", "with -exp snapshot: write the CKI cell's CKISNAP1 checkpoint image to FILE")
-	flag.IntVar(&cfg.interval, "checkpoint-interval", 1, "with -exp snapshot: supervised rounds between periodic checkpoints in the warm-restart comparison")
-	flag.IntVar(&cfg.nodes, "nodes", 0, "with -exp fleet/slo/tail/serverless: simulated node count")
-	flag.StringVar(&cfg.sched, "sched", "", "with -exp fleet: restrict to one scheduler (binpack, spread; default both)")
-	flag.Float64Var(&cfg.arrival, "arrival-rate", 0, "with -exp fleet: replace the capacity curve with one open-loop segment at this rate (arrivals/sec)")
-	flag.StringVar(&cfg.traceFile, "trace-file", "", "with -exp fleet: drive arrivals from a piecewise rate trace file (\"rate_per_sec duration_ms\" lines)")
-	flag.StringVar(&cfg.scrapeIv, "scrape-interval", "", "with -exp fleet/slo: virtual scrape interval (e.g. 250us, 1.5ms; bare numbers are ps)")
-	flag.StringVar(&cfg.sloOut, "slo-out", "", "with -exp slo: write per-runtime CKITS1 timelines under DIR; with -exp fleet -scrape-interval: write the merged timeline to FILE (.ckits = binary, else JSON)")
-	flag.StringVar(&cfg.bundleOut, "bundle-out", "", "with -exp slo: write the postmortem bundles as JSON under DIR")
-	flag.Float64Var(&cfg.churnRate, "churn-rate", 0, "with -exp serverless: replace the derived churn arrival rate with this absolute rate (arrivals/sec)")
-	flag.StringVar(&cfg.forkMode, "fork-mode", "", "with -exp serverless: restrict the fleet stage to one instantiation mode (cold, eager, cow, lazy; default all)")
-	flag.Parse()
-
-	if err := validate(cfg); err != nil {
+	inv, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "ckibench: %v\n", err)
 		os.Exit(2)
 	}
-
-	if cfg.exp == "wallclock" {
-		rep, err := bench.RunWallclock(bench.WallclockOpts{Scale: cfg.scale})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: wallclock: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteWallclockJSON(rep, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: wallclock: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if cfg.exp == "slo" {
-		interval, _ := cfg.parseScrapeInterval()
-		rep, err := bench.RunSLO(bench.SLOOpts{
-			Scale: cfg.scale, Parallel: cfg.parallel,
-			Nodes: cfg.nodes, ScrapeInterval: interval,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: slo: %v\n", err)
-			os.Exit(1)
-		}
-		if cfg.sloOut != "" {
-			if err := bench.WriteSLOTimelines(rep, cfg.sloOut); err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: slo: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if cfg.bundleOut != "" {
-			if err := bench.WriteSLOBundles(rep, cfg.bundleOut); err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: slo: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		var werr error
-		if cfg.jsonOut {
-			werr = bench.WriteSLOJSON(rep, os.Stdout)
-		} else {
-			werr = bench.WriteSLOTable(rep, os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: slo: %v\n", werr)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if cfg.exp == "tail" {
-		rep, err := bench.RunTail(bench.TailOpts{
-			Scale: cfg.scale, Parallel: cfg.parallel, Nodes: cfg.nodes,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: tail: %v\n", err)
-			os.Exit(1)
-		}
-		var werr error
-		if cfg.jsonOut {
-			werr = bench.WriteTailJSON(rep, os.Stdout)
-		} else {
-			werr = bench.WriteTailTable(rep, os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: tail: %v\n", werr)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if cfg.exp == "serverless" {
-		rep, err := bench.RunServerless(bench.ServerlessOpts{
-			Scale: cfg.scale, Parallel: cfg.parallel, Nodes: cfg.nodes,
-			ChurnRate: cfg.churnRate, ForkMode: cfg.forkMode,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: serverless: %v\n", err)
-			os.Exit(1)
-		}
-		var werr error
-		if cfg.jsonOut {
-			werr = bench.WriteServerlessJSON(rep, os.Stdout)
-		} else {
-			werr = bench.WriteServerlessTable(rep, os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: serverless: %v\n", werr)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if cfg.exp == "fleet" {
-		interval, _ := cfg.parseScrapeInterval()
-		rep, err := bench.RunFleet(bench.FleetOpts{
-			Scale: cfg.scale, Parallel: cfg.parallel,
-			Nodes: cfg.nodes, Sched: cfg.sched,
-			ArrivalRate: cfg.arrival, TraceFile: cfg.traceFile,
-			ScrapeInterval: interval,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: fleet: %v\n", err)
-			os.Exit(1)
-		}
-		if cfg.sloOut != "" {
-			if err := writeTimeline(cfg.sloOut, rep.Timeline); err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: fleet: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		var werr error
-		if cfg.jsonOut {
-			werr = bench.WriteFleetJSON(rep, os.Stdout)
-		} else {
-			werr = bench.WriteFleetTable(rep, os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: fleet: %v\n", werr)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if cfg.exp == "snapshot" {
-		rep, err := bench.RunSnapshot(cfg.scale, cfg.parallel, cfg.interval)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		if cfg.snapOut != "" {
-			blob := rep.CheckpointBlob("CKI-BM")
-			if blob == nil {
-				fmt.Fprintf(os.Stderr, "ckibench: snapshot: no CKI checkpoint in report\n")
-				os.Exit(1)
-			}
-			writeFile(cfg.snapOut, blob)
-		}
-		var werr error
-		if cfg.jsonOut {
-			werr = bench.WriteSnapshotJSON(rep, os.Stdout)
-		} else {
-			werr = bench.WriteSnapshotTable(rep, os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: snapshot: %v\n", werr)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if cfg.needProf() || cfg.auditOut != "" || cfg.baseline != "" {
-		var rep *bench.SMPReport
-		switch {
-		case cfg.needProf():
-			prof, err := bench.RunSMPProfiledParallel(cfg.scale, bench.SMPSeed, cfg.parallel)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: smp: %v\n", err)
-				os.Exit(1)
-			}
-			if cfg.traceOut != "" {
-				writeFile(cfg.traceOut, prof.ChromeJSON())
-			}
-			if cfg.spansOut != "" {
-				b, err := prof.JSON()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ckibench: %v\n", err)
-					os.Exit(1)
-				}
-				writeFile(cfg.spansOut, append(b, '\n'))
-			}
-			if cfg.metricsOut != "" {
-				b, err := prof.MetricsJSON()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ckibench: %v\n", err)
-					os.Exit(1)
-				}
-				writeFile(cfg.metricsOut, append(b, '\n'))
-			}
-			rep = prof.Report
-		case cfg.auditOut != "":
-			rec := audit.NewRecorder(nil)
-			var err error
-			rep, err = bench.RunSMPAuditedParallel(cfg.scale, bench.SMPSeed, rec, cfg.parallel)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: smp: %v\n", err)
-				os.Exit(1)
-			}
-			if err := rec.WriteFile(cfg.auditOut); err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: %v\n", err)
-				os.Exit(1)
-			}
-		default:
-			var err error
-			rep, err = bench.RunSMPParallel(cfg.scale, bench.SMPSeed, cfg.parallel)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: smp: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		// The report is byte-identical however it was produced (the
-		// observers are clock-neutral), so the usual outputs remain
-		// available in the same invocation.
-		if cfg.jsonOut {
-			if err := bench.WriteSMPReportJSON(rep, os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: smp: %v\n", err)
-				os.Exit(1)
-			}
-		} else if err := bench.WriteSMPTable(rep, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: smp: %v\n", err)
-			os.Exit(1)
-		}
-		if cfg.baseline != "" {
-			gateBaseline(cfg.baseline, rep)
-		}
-		return
-	}
-
-	if cfg.jsonOut {
-		var emit func(int, io.Writer) error
-		switch cfg.exp {
-		case "chaos":
-			if cfg.seeds > 1 {
-				emit = func(s int, w io.Writer) error {
-					return bench.ChaosSweepJSON(s, cfg.seeds, cfg.parallel, w)
-				}
-			} else {
-				emit = bench.ChaosJSON
-			}
-		case "smp":
-			emit = func(s int, w io.Writer) error {
-				return bench.SMPJSONParallel(s, cfg.parallel, w)
-			}
-		}
-		if err := emit(cfg.scale, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: %s: %v\n", cfg.exp, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	everything := append(bench.All(), bench.Extensions()...)
-	if *list {
-		for _, e := range everything {
+	if inv.list {
+		for _, e := range bench.Experiments() {
 			fmt.Printf("%-12s %s\n", e.ID, e.Title)
 		}
 		return
 	}
-	run := func(e bench.Experiment) {
-		fmt.Printf("--- %s: %s ---\n", e.ID, e.Title)
-		if err := e.Run(cfg.scale, os.Stdout); err != nil {
+	for _, e := range inv.exps {
+		if err := run(e, inv.args, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "ckibench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-	}
-	if cfg.exp != "" {
-		for _, e := range everything {
-			if e.ID == cfg.exp {
-				run(e)
-				return
-			}
-		}
-		fmt.Fprintf(os.Stderr, "ckibench: unknown experiment %q (try -list)\n", cfg.exp)
-		os.Exit(2)
-	}
-	for _, e := range everything {
-		run(e)
 	}
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -8,121 +11,112 @@ import (
 	"testing"
 )
 
-// TestValidate covers every usage-error rule: flag combinations that
-// used to be silently ignored must now be rejected (exit 2 in main).
+// TestValidate covers every usage-error rule on parsed argv: flag
+// combinations that would be silently ignored or are meaningless must
+// be rejected (exit 2 in main).
 func TestValidate(t *testing.T) {
-	ok := func(c config) config {
-		if c.parallel == 0 {
-			c.parallel = 1
-		}
-		if c.seeds == 0 {
-			c.seeds = 1
-		}
-		if c.interval == 0 {
-			c.interval = 1
-		}
-		return c
-	}
 	cases := []struct {
 		name    string
-		cfg     config
+		argv    []string
 		wantErr bool
 	}{
-		{"defaults", ok(config{}), false},
-		{"smp json", ok(config{exp: "smp", jsonOut: true}), false},
-		{"chaos json", ok(config{exp: "chaos", jsonOut: true}), false},
-		{"wallclock json", ok(config{exp: "wallclock", jsonOut: true}), false},
-		{"smp artifacts", ok(config{exp: "smp", traceOut: "t.json", spansOut: "s.json", metricsOut: "m.json"}), false},
-		{"smp audit", ok(config{exp: "smp", auditOut: "a.log"}), false},
-		{"smp baseline", ok(config{exp: "smp", baseline: "b.json"}), false},
-		{"chaos sweep", ok(config{exp: "chaos", jsonOut: true, seeds: 16}), false},
-		{"parallel 8", ok(config{exp: "smp", jsonOut: true, parallel: 8}), false},
-		{"snapshot json", ok(config{exp: "snapshot", jsonOut: true}), false},
-		{"snapshot blob out", ok(config{exp: "snapshot", snapOut: "cki.snap"}), false},
-		{"snapshot interval", ok(config{exp: "snapshot", interval: 5}), false},
-		{"fleet json", ok(config{exp: "fleet", jsonOut: true}), false},
-		{"fleet nodes", ok(config{exp: "fleet", nodes: 8}), false},
-		{"fleet sched binpack", ok(config{exp: "fleet", sched: "binpack"}), false},
-		{"fleet sched spread", ok(config{exp: "fleet", sched: "spread"}), false},
-		{"fleet arrival rate", ok(config{exp: "fleet", arrival: 50_000}), false},
-		{"fleet trace file", ok(config{exp: "fleet", traceFile: "rates.trace"}), false},
-		{"fleet everything", ok(config{exp: "fleet", jsonOut: true, nodes: 8, sched: "spread", arrival: 1000, parallel: 8}), false},
-		{"slo json", ok(config{exp: "slo", jsonOut: true}), false},
-		{"slo nodes", ok(config{exp: "slo", nodes: 10}), false},
-		{"slo scrape interval", ok(config{exp: "slo", scrapeIv: "250us"}), false},
-		{"slo scrape interval bare ps", ok(config{exp: "slo", scrapeIv: "2500000"}), false},
-		{"slo outputs", ok(config{exp: "slo", jsonOut: true, sloOut: "tl", bundleOut: "bd"}), false},
-		{"fleet scrape interval", ok(config{exp: "fleet", scrapeIv: "1.5ms"}), false},
-		{"fleet timeline", ok(config{exp: "fleet", scrapeIv: "50us", sloOut: "tl.ckits"}), false},
-		{"tail json", ok(config{exp: "tail", jsonOut: true}), false},
-		{"tail nodes", ok(config{exp: "tail", nodes: 8}), false},
-		{"tail parallel", ok(config{exp: "tail", jsonOut: true, parallel: 8}), false},
-		{"serverless json", ok(config{exp: "serverless", jsonOut: true}), false},
-		{"serverless nodes", ok(config{exp: "serverless", nodes: 8}), false},
-		{"serverless fork-mode", ok(config{exp: "serverless", forkMode: "lazy"}), false},
-		{"serverless churn-rate", ok(config{exp: "serverless", churnRate: 30_000}), false},
-		{"serverless everything", ok(config{exp: "serverless", jsonOut: true, nodes: 8, forkMode: "cow", churnRate: 5000, parallel: 8}), false},
+		{"defaults", []string{}, false},
+		{"smp json", []string{"-exp", "smp", "-json"}, false},
+		{"chaos json", []string{"-exp", "chaos", "-json"}, false},
+		{"wallclock json", []string{"-exp", "wallclock", "-json"}, false},
+		{"smp artifacts", []string{"-exp", "smp", "-trace-out", "t.json", "-spans-out", "s.json", "-metrics-out", "m.json"}, false},
+		{"smp audit", []string{"-exp", "smp", "-audit-out", "a.log"}, false},
+		{"smp baseline", []string{"-exp", "smp", "-baseline", "b.json"}, false},
+		{"chaos sweep", []string{"-exp", "chaos", "-json", "-seeds", "16"}, false},
+		{"parallel 8", []string{"-exp", "smp", "-json", "-parallel", "8"}, false},
+		{"snapshot json", []string{"-exp", "snapshot", "-json"}, false},
+		{"snapshot blob out", []string{"-exp", "snapshot", "-snap-out", "cki.snap"}, false},
+		{"snapshot interval", []string{"-exp", "snapshot", "-checkpoint-interval", "5"}, false},
+		{"fleet json", []string{"-exp", "fleet", "-json"}, false},
+		{"fleet nodes", []string{"-exp", "fleet", "-nodes", "8"}, false},
+		{"fleet sched binpack", []string{"-exp", "fleet", "-sched", "binpack"}, false},
+		{"fleet sched spread", []string{"-exp", "fleet", "-sched", "spread"}, false},
+		{"fleet arrival rate", []string{"-exp", "fleet", "-arrival-rate", "50000"}, false},
+		{"fleet trace file", []string{"-exp", "fleet", "-trace-file", "rates.trace"}, false},
+		{"fleet everything", []string{"-exp", "fleet", "-json", "-nodes", "8", "-sched", "spread", "-arrival-rate", "1000", "-parallel", "8"}, false},
+		{"slo json", []string{"-exp", "slo", "-json"}, false},
+		{"slo nodes", []string{"-exp", "slo", "-nodes", "10"}, false},
+		{"slo scrape interval", []string{"-exp", "slo", "-scrape-interval", "250us"}, false},
+		{"slo scrape interval bare ps", []string{"-exp", "slo", "-scrape-interval", "2500000"}, false},
+		{"slo outputs", []string{"-exp", "slo", "-json", "-slo-out", "tl", "-bundle-out", "bd"}, false},
+		{"fleet scrape interval", []string{"-exp", "fleet", "-scrape-interval", "1.5ms"}, false},
+		{"fleet timeline", []string{"-exp", "fleet", "-scrape-interval", "50us", "-slo-out", "tl.ckits"}, false},
+		{"tail json", []string{"-exp", "tail", "-json"}, false},
+		{"tail nodes", []string{"-exp", "tail", "-nodes", "8"}, false},
+		{"tail parallel", []string{"-exp", "tail", "-json", "-parallel", "8"}, false},
+		{"serverless json", []string{"-exp", "serverless", "-json"}, false},
+		{"serverless nodes", []string{"-exp", "serverless", "-nodes", "8"}, false},
+		{"serverless fork-mode", []string{"-exp", "serverless", "-fork-mode", "lazy"}, false},
+		{"serverless churn-rate", []string{"-exp", "serverless", "-churn-rate", "30000"}, false},
+		{"serverless everything", []string{"-exp", "serverless", "-json", "-nodes", "8", "-fork-mode", "cow", "-churn-rate", "5000", "-parallel", "8"}, false},
 
-		{"parallel 0", config{parallel: 0, seeds: 1}, true},
-		{"parallel negative", config{parallel: -2, seeds: 1}, true},
-		{"seeds 0", config{parallel: 1, seeds: 0}, true},
-		{"trace-out without smp", ok(config{traceOut: "t.json"}), true},
-		{"spans-out wrong exp", ok(config{exp: "chaos", spansOut: "s.json"}), true},
-		{"metrics-out wrong exp", ok(config{exp: "fig12", metricsOut: "m.json"}), true},
-		{"audit-out without smp", ok(config{auditOut: "a.log"}), true},
-		{"baseline without smp", ok(config{exp: "chaos", baseline: "b.json"}), true},
-		{"audit-out with prof flags", ok(config{exp: "smp", traceOut: "t.json", auditOut: "a.log"}), true},
-		{"seeds without chaos", ok(config{exp: "smp", jsonOut: true, seeds: 4}), true},
-		{"seeds without json", ok(config{exp: "chaos", seeds: 4}), true},
-		{"json wrong exp", ok(config{exp: "fig12", jsonOut: true}), true},
-		{"json all experiments", ok(config{jsonOut: true}), true},
-		{"interval 0", config{parallel: 1, seeds: 1, interval: 0, exp: "snapshot"}, true},
-		{"interval negative", config{parallel: 1, seeds: 1, interval: -3, exp: "snapshot"}, true},
-		{"snap-out wrong exp", ok(config{exp: "chaos", snapOut: "cki.snap"}), true},
-		{"snap-out without exp", ok(config{snapOut: "cki.snap"}), true},
-		{"interval wrong exp", ok(config{exp: "smp", jsonOut: true, interval: 4}), true},
-		{"nodes without fleet", ok(config{nodes: 8}), true},
-		{"nodes wrong exp", ok(config{exp: "smp", nodes: 8}), true},
-		{"nodes negative", ok(config{exp: "fleet", nodes: -1}), true},
-		{"sched without fleet", ok(config{sched: "spread"}), true},
-		{"sched unknown", ok(config{exp: "fleet", sched: "random"}), true},
-		{"arrival-rate without fleet", ok(config{arrival: 1000}), true},
-		{"arrival-rate wrong exp", ok(config{exp: "chaos", arrival: 1000}), true},
-		{"arrival-rate negative", ok(config{exp: "fleet", arrival: -5}), true},
-		{"trace-file without fleet", ok(config{traceFile: "rates.trace"}), true},
-		{"trace-file wrong exp", ok(config{exp: "snapshot", traceFile: "rates.trace"}), true},
-		{"arrival-rate with trace-file", ok(config{exp: "fleet", arrival: 1000, traceFile: "rates.trace"}), true},
-		{"scrape-interval wrong exp", ok(config{exp: "smp", jsonOut: true, scrapeIv: "50us"}), true},
-		{"scrape-interval without exp", ok(config{scrapeIv: "50us"}), true},
-		{"scrape-interval unparseable", ok(config{exp: "slo", scrapeIv: "fast"}), true},
-		{"scrape-interval zero", ok(config{exp: "slo", scrapeIv: "0"}), true},
-		{"slo-out wrong exp", ok(config{exp: "chaos", sloOut: "tl"}), true},
-		{"slo-out fleet without interval", ok(config{exp: "fleet", sloOut: "tl.ckits"}), true},
-		{"bundle-out wrong exp", ok(config{exp: "fleet", scrapeIv: "50us", bundleOut: "bd"}), true},
-		{"nodes slo negative", ok(config{exp: "slo", nodes: -1}), true},
-		{"tail with sched", ok(config{exp: "tail", sched: "spread"}), true},
-		{"tail with arrival-rate", ok(config{exp: "tail", arrival: 1000}), true},
-		{"tail with trace-file", ok(config{exp: "tail", traceFile: "rates.trace"}), true},
-		{"tail with scrape-interval", ok(config{exp: "tail", scrapeIv: "50us"}), true},
-		{"tail with slo-out", ok(config{exp: "tail", sloOut: "tl"}), true},
-		{"tail with snap-out", ok(config{exp: "tail", snapOut: "cki.snap"}), true},
-		{"tail nodes negative", ok(config{exp: "tail", nodes: -1}), true},
-		{"churn-rate without serverless", ok(config{churnRate: 5000}), true},
-		{"churn-rate wrong exp", ok(config{exp: "fleet", churnRate: 5000}), true},
-		{"churn-rate negative", ok(config{exp: "serverless", churnRate: -5}), true},
-		{"fork-mode without serverless", ok(config{forkMode: "lazy"}), true},
-		{"fork-mode wrong exp", ok(config{exp: "tail", forkMode: "lazy"}), true},
-		{"fork-mode unknown", ok(config{exp: "serverless", forkMode: "warm"}), true},
-		{"serverless with sched", ok(config{exp: "serverless", sched: "spread"}), true},
-		{"serverless with arrival-rate", ok(config{exp: "serverless", arrival: 1000}), true},
-		{"serverless with scrape-interval", ok(config{exp: "serverless", scrapeIv: "50us"}), true},
-		{"serverless nodes negative", ok(config{exp: "serverless", nodes: -1}), true},
+		{"parallel 0", []string{"-parallel", "0"}, true},
+		{"parallel negative", []string{"-parallel", "-2"}, true},
+		{"seeds 0", []string{"-seeds", "0"}, true},
+		{"trace-out without smp", []string{"-trace-out", "t.json"}, true},
+		{"spans-out wrong exp", []string{"-exp", "chaos", "-spans-out", "s.json"}, true},
+		{"metrics-out wrong exp", []string{"-exp", "fig12", "-metrics-out", "m.json"}, true},
+		{"audit-out without smp", []string{"-audit-out", "a.log"}, true},
+		{"baseline without smp", []string{"-exp", "chaos", "-baseline", "b.json"}, true},
+		{"audit-out with prof flags", []string{"-exp", "smp", "-trace-out", "t.json", "-audit-out", "a.log"}, true},
+		{"seeds without chaos", []string{"-exp", "smp", "-json", "-seeds", "4"}, true},
+		{"seeds without json", []string{"-exp", "chaos", "-seeds", "4"}, true},
+		{"json wrong exp", []string{"-exp", "fig12", "-json"}, true},
+		{"json all experiments", []string{"-json"}, true},
+		{"interval 0", []string{"-checkpoint-interval", "0", "-exp", "snapshot"}, true},
+		{"interval negative", []string{"-checkpoint-interval", "-3", "-exp", "snapshot"}, true},
+		{"snap-out wrong exp", []string{"-exp", "chaos", "-snap-out", "cki.snap"}, true},
+		{"snap-out without exp", []string{"-snap-out", "cki.snap"}, true},
+		{"interval wrong exp", []string{"-exp", "smp", "-json", "-checkpoint-interval", "4"}, true},
+		{"nodes without fleet", []string{"-nodes", "8"}, true},
+		{"nodes wrong exp", []string{"-exp", "smp", "-nodes", "8"}, true},
+		{"nodes negative", []string{"-exp", "fleet", "-nodes", "-1"}, true},
+		{"sched without fleet", []string{"-sched", "spread"}, true},
+		{"sched unknown", []string{"-exp", "fleet", "-sched", "random"}, true},
+		{"arrival-rate without fleet", []string{"-arrival-rate", "1000"}, true},
+		{"arrival-rate wrong exp", []string{"-exp", "chaos", "-arrival-rate", "1000"}, true},
+		{"arrival-rate negative", []string{"-exp", "fleet", "-arrival-rate", "-5"}, true},
+		{"trace-file without fleet", []string{"-trace-file", "rates.trace"}, true},
+		{"trace-file wrong exp", []string{"-exp", "snapshot", "-trace-file", "rates.trace"}, true},
+		{"arrival-rate with trace-file", []string{"-exp", "fleet", "-arrival-rate", "1000", "-trace-file", "rates.trace"}, true},
+		{"scrape-interval wrong exp", []string{"-exp", "smp", "-json", "-scrape-interval", "50us"}, true},
+		{"scrape-interval without exp", []string{"-scrape-interval", "50us"}, true},
+		{"scrape-interval unparseable", []string{"-exp", "slo", "-scrape-interval", "fast"}, true},
+		{"scrape-interval zero", []string{"-exp", "slo", "-scrape-interval", "0"}, true},
+		{"slo-out wrong exp", []string{"-exp", "chaos", "-slo-out", "tl"}, true},
+		{"slo-out fleet without interval", []string{"-exp", "fleet", "-slo-out", "tl.ckits"}, true},
+		{"bundle-out wrong exp", []string{"-exp", "fleet", "-scrape-interval", "50us", "-bundle-out", "bd"}, true},
+		{"nodes slo negative", []string{"-exp", "slo", "-nodes", "-1"}, true},
+		{"tail with sched", []string{"-exp", "tail", "-sched", "spread"}, true},
+		{"tail with arrival-rate", []string{"-exp", "tail", "-arrival-rate", "1000"}, true},
+		{"tail with trace-file", []string{"-exp", "tail", "-trace-file", "rates.trace"}, true},
+		{"tail with scrape-interval", []string{"-exp", "tail", "-scrape-interval", "50us"}, true},
+		{"tail with slo-out", []string{"-exp", "tail", "-slo-out", "tl"}, true},
+		{"tail with snap-out", []string{"-exp", "tail", "-snap-out", "cki.snap"}, true},
+		{"tail nodes negative", []string{"-exp", "tail", "-nodes", "-1"}, true},
+		{"churn-rate without serverless", []string{"-churn-rate", "5000"}, true},
+		{"churn-rate wrong exp", []string{"-exp", "fleet", "-churn-rate", "5000"}, true},
+		{"churn-rate negative", []string{"-exp", "serverless", "-churn-rate", "-5"}, true},
+		{"fork-mode without serverless", []string{"-fork-mode", "lazy"}, true},
+		{"fork-mode wrong exp", []string{"-exp", "tail", "-fork-mode", "lazy"}, true},
+		{"fork-mode unknown", []string{"-exp", "serverless", "-fork-mode", "warm"}, true},
+		{"serverless with sched", []string{"-exp", "serverless", "-sched", "spread"}, true},
+		{"serverless with arrival-rate", []string{"-exp", "serverless", "-arrival-rate", "1000"}, true},
+		{"serverless with scrape-interval", []string{"-exp", "serverless", "-scrape-interval", "50us"}, true},
+		{"serverless nodes negative", []string{"-exp", "serverless", "-nodes", "-1"}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validate(tc.cfg)
+			fs := flag.NewFlagSet("ckibench", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			_, err := parse(fs, tc.argv)
 			if (err != nil) != tc.wantErr {
-				t.Errorf("validate(%+v) = %v, wantErr=%v", tc.cfg, err, tc.wantErr)
+				t.Errorf("parse(%q) = %v, wantErr=%v", tc.argv, err, tc.wantErr)
 			}
 		})
 	}
@@ -149,8 +143,8 @@ func TestMain(m *testing.M) {
 }
 
 // TestExitCodes pins the exit-code contract against the built binary:
-// 2 for usage errors (validate failures, unknown experiments), 0 for
-// the cheap informational modes.
+// 2 for usage errors (parse failures, unknown experiments), 0 for the
+// informational modes and the cheap runs.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -161,13 +155,27 @@ func TestExitCodes(t *testing.T) {
 		{"list", []string{"-list"}, 0, "serverless"},
 		{"unknown exp", []string{"-exp", "warpdrive"}, 2, "unknown experiment"},
 		{"parallel zero", []string{"-parallel", "0", "-list"}, 2, "-parallel must be"},
-		{"tail with sched", []string{"-exp", "tail", "-sched", "spread"}, 2, "require -exp fleet"},
+		{"tail with sched", []string{"-exp", "tail", "-sched", "spread"}, 2, "-sched requires -exp fleet"},
 		{"tail with scrape-interval", []string{"-exp", "tail", "-scrape-interval", "50us"}, 2, "-scrape-interval requires"},
 		{"nodes wrong exp", []string{"-exp", "smp", "-nodes", "4"}, 2, "-nodes requires"},
 		{"json wrong exp", []string{"-exp", "ext-pku", "-json"}, 2, "-json is only supported"},
-		{"fork-mode wrong exp", []string{"-exp", "smp", "-fork-mode", "lazy"}, 2, "require -exp serverless"},
+		{"fork-mode wrong exp", []string{"-exp", "smp", "-fork-mode", "lazy"}, 2, "-fork-mode requires -exp serverless"},
 		{"churn-rate negative", []string{"-exp", "serverless", "-churn-rate", "-5"}, 2, "-churn-rate must be"},
 		{"fork-mode unknown", []string{"-exp", "serverless", "-fork-mode", "warm"}, 2, "-fork-mode must be"},
+		{"sched unknown", []string{"-exp", "fleet", "-sched", "random"}, 2, "unknown scheduler"},
+		{"arrival-rate with trace-file", []string{"-exp", "fleet", "-arrival-rate", "1000", "-trace-file", "r.trace"}, 2, "mutually exclusive"},
+		{"scrape-interval wrong exp", []string{"-exp", "smp", "-scrape-interval", "50us"}, 2, "-scrape-interval requires -exp fleet or slo"},
+		{"slo-out fleet without interval", []string{"-exp", "fleet", "-slo-out", "tl.ckits"}, 2, "explicit -scrape-interval"},
+		{"bundle-out wrong exp", []string{"-exp", "fleet", "-scrape-interval", "50us", "-bundle-out", "bd"}, 2, "-bundle-out requires -exp slo"},
+		// A flag set explicitly, even to its default, belongs to its owners.
+		{"default-valued flag wrong exp", []string{"-exp", "smp", "-checkpoint-interval", "1"}, 2, "-checkpoint-interval requires -exp snapshot"},
+		// Everything below is derived from the experiment registry.
+		{"list wallclock", []string{"-list"}, 0, "wallclock"},
+		{"help lists json experiments", []string{"-h"}, 0, "-exp chaos, smp, snapshot, fleet, slo, tail, serverless, or wallclock"},
+		{"help names owners", []string{"-h"}, 0, "with -exp fleet, slo, tail, or serverless: simulated node count"},
+		{"table header", []string{"-exp", "snapshot", "-parallel", "1"}, 0, "--- snapshot: Checkpoint/restore"},
+		{"table header chaos parallel", []string{"-exp", "chaos", "-parallel", "2"}, 0, "--- chaos: Fault-injection"},
+		{"baseline gate", []string{"-exp", "smp", "-baseline", "../../BENCH_smp.json"}, 0, "baseline gate: PASS"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,5 +195,21 @@ func TestExitCodes(t *testing.T) {
 				t.Fatalf("output missing %q:\n%s", tc.want, out)
 			}
 		})
+	}
+}
+
+// TestJSONIsTheArtifact: -json prints the report alone, with no table
+// header, so its bytes are the committed artifact's.
+func TestJSONIsTheArtifact(t *testing.T) {
+	out, err := exec.Command(binPath, "-exp", "chaos", "-json").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../BENCH_chaos.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, want) {
+		t.Fatalf("ckibench -exp chaos -json differs from BENCH_chaos.json:\n%s", out)
 	}
 }

@@ -2,37 +2,59 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
 
-func TestAllExperimentsRun(t *testing.T) {
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(1, &buf); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if buf.Len() == 0 {
-				t.Fatalf("%s produced no output", e.ID)
-			}
-		})
+// runs memoizes registry runs at the default options by experiment
+// and -parallel, so TestArtifacts, TestExtensionsRun and the writer
+// tests share one run of each artifact experiment.
+var runs = map[string]Report{}
+
+// runAt runs e at the default options and the given -parallel.
+func runAt(t *testing.T, e Experiment, parallel int) Report {
+	t.Helper()
+	key := fmt.Sprintf("%s@%d", e.ID, parallel)
+	if rep, ok := runs[key]; ok {
+		return rep
+	}
+	a := DefaultArgs()
+	a.Parallel = parallel
+	rep, err := e.Run(a)
+	if err != nil {
+		t.Fatalf("%s: %v", e.ID, err)
+	}
+	runs[key] = rep
+	return rep
+}
+
+// renders checks that e's table mode writes something.
+func renders(t *testing.T, e Experiment) {
+	var buf bytes.Buffer
+	if err := runAt(t, e, 1).WriteTable(&buf); err != nil {
+		t.Fatalf("%s: %v", e.ID, err)
+	}
+	if buf.Len() == 0 {
+		t.Fatalf("%s produced no output", e.ID)
 	}
 }
 
+func TestAllExperimentsRun(t *testing.T) {
+	for _, e := range paperExperiments() {
+		t.Run(e.ID, func(t *testing.T) { renders(t, e) })
+	}
+}
+
+// TestExtensionsRun renders every extension's table; the wallclock
+// experiment measures the host for seconds, so TestRunWallclockSmoke
+// renders it at a small budget instead.
 func TestExtensionsRun(t *testing.T) {
-	for _, e := range Extensions() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(1, &buf); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if buf.Len() == 0 {
-				t.Fatalf("%s produced no output", e.ID)
-			}
-		})
+	for _, e := range extensions() {
+		if e.HostTimed {
+			continue
+		}
+		t.Run(e.ID, func(t *testing.T) { renders(t, e) })
 	}
 }
 
@@ -45,14 +67,14 @@ func TestFindExperiment(t *testing.T) {
 	}
 	// All IDs unique.
 	seen := map[string]bool{}
-	for _, e := range All() {
+	for _, e := range Experiments() {
 		if seen[e.ID] {
 			t.Errorf("duplicate id %s", e.ID)
 		}
 		seen[e.ID] = true
 	}
-	if len(seen) != 16 {
-		t.Errorf("experiment count = %d, want 16 (every table & figure)", len(seen))
+	if n := len(paperExperiments()); n != 16 {
+		t.Errorf("paper experiment count = %d, want 16 (every table & figure)", n)
 	}
 }
 

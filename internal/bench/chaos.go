@@ -1,7 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"strconv"
 
@@ -154,12 +155,8 @@ func RunChaos(scale int, seed uint64) (*ChaosSurvival, error) {
 	return rep, nil
 }
 
-// ExtChaos renders the chaos survival report as a table.
-func ExtChaos(scale int, w io.Writer) error {
-	rep, err := RunChaos(scale, ChaosSeed)
-	if err != nil {
-		return err
-	}
+// WriteTable renders the survival report as a table.
+func (rep *ChaosSurvival) WriteTable(w io.Writer) error {
 	t := NewTable("Chaos survival under deterministic fault injection (seed 0x5eed)",
 		"runtime", "rounds ok", "lost", "crashes", "collateral", "restarts", "gave up", "MTTR", "faults injected")
 	for _, r := range rep.Containers {
@@ -172,20 +169,31 @@ func ExtChaos(scale int, w io.Writer) error {
 	}
 	t.Note("%d rounds, %s of virtual time; RunC crashes take the whole cluster (shared host kernel),", rep.Rounds, rep.VirtualDur)
 	t.Note("per-container-kernel runtimes lose exactly the faulted container (Fig. 2)")
-	_, err = t.WriteTo(w)
+	_, err := t.WriteTo(w)
 	return err
 }
 
-func itoa(n int) string { return strconv.Itoa(n) }
+// WriteJSON writes the report in the committed BENCH_chaos encoding.
+func (rep *ChaosSurvival) WriteJSON(w io.Writer) error { return writeJSON(w, rep) }
 
-// ChaosJSON runs the chaos experiment and writes the survival report as
-// indented JSON (the committed BENCH_chaos artifact).
-func ChaosJSON(scale int, w io.Writer) error {
-	rep, err := RunChaos(scale, ChaosSeed)
-	if err != nil {
-		return err
+// Invariants checks what the survival report promises: every runtime
+// served rounds, and the injected faults crashed at least one
+// container while the supervised cluster kept serving.
+func (rep *ChaosSurvival) Invariants() error {
+	if len(rep.Containers) != 5 {
+		return fmt.Errorf("chaos: %d containers, want one per runtime (5)", len(rep.Containers))
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	crashes := 0
+	for _, r := range rep.Containers {
+		crashes += r.Crashes
+		if r.RoundsOK == 0 {
+			return fmt.Errorf("chaos: %s never served a round", r.Runtime)
+		}
+	}
+	if crashes == 0 {
+		return errors.New("chaos: no container ever crashed under the fault plan")
+	}
+	return nil
 }
+
+func itoa(n int) string { return strconv.Itoa(n) }

@@ -1,16 +1,19 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"strings"
 )
 
 // This file is the perf-trajectory gate: it compares a freshly measured
 // SMP report against the committed baseline artifact and flags relative
 // regressions. The simulator is deterministic, so any delta at all is a
 // code change, not noise — the tolerance only decides which deltas are
-// regressions worth failing CI over.
+// regressions worth failing the gate over.
 
 // DefaultRegressionTolerance is the relative throughput loss the gate
 // accepts before failing (10%).
@@ -110,5 +113,56 @@ func WriteDeltaTable(deltas []Delta, tol float64, w io.Writer) error {
 	}
 	t.Note("gate: throughput_ops_per_sec must not drop more than %.0f%%", 100*tol)
 	_, err := t.WriteTo(w)
+	return err
+}
+
+// gatedSMP is an smp report that, after rendering, compares itself
+// against the committed report at baseline and fails when any
+// runtime's throughput regressed beyond DefaultRegressionTolerance.
+type gatedSMP struct {
+	*SMPReport
+	baseline string
+}
+
+func (g gatedSMP) WriteTable(w io.Writer) error {
+	if err := g.SMPReport.WriteTable(w); err != nil {
+		return err
+	}
+	return g.gate(w)
+}
+
+func (g gatedSMP) WriteJSON(w io.Writer) error {
+	if err := g.SMPReport.WriteJSON(w); err != nil {
+		return err
+	}
+	return g.gate(w)
+}
+
+func (g gatedSMP) gate(w io.Writer) error {
+	b, err := os.ReadFile(g.baseline)
+	if err != nil {
+		return fmt.Errorf("baseline: %w", err)
+	}
+	old := &SMPReport{}
+	if err := json.Unmarshal(b, old); err != nil {
+		return fmt.Errorf("baseline %s: %w", g.baseline, err)
+	}
+	deltas, err := CompareReports(old, g.SMPReport)
+	if err != nil {
+		return fmt.Errorf("baseline: %w", err)
+	}
+	if err := WriteDeltaTable(deltas, DefaultRegressionTolerance, w); err != nil {
+		return err
+	}
+	var bad []string
+	for _, d := range ThroughputRegressions(deltas, DefaultRegressionTolerance) {
+		bad = append(bad, fmt.Sprintf("%s x%d throughput %.0f -> %.0f (%+.1f%%)",
+			d.Runtime, d.VCPUs, d.Old, d.New, 100*d.Rel))
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("REGRESSION: %s", strings.Join(bad, "; "))
+	}
+	_, err = fmt.Fprintf(w, "baseline gate: PASS (throughput within %.0f%% of %s)\n",
+		100*DefaultRegressionTolerance, g.baseline)
 	return err
 }

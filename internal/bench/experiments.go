@@ -11,46 +11,26 @@ import (
 	"repro/internal/workloads"
 )
 
-// Experiment regenerates one table or figure.
-type Experiment struct {
-	// ID is the paper's label ("tab2", "fig12", ...).
-	ID string
-	// Title describes what is reproduced.
-	Title string
-	// Run executes at the given scale and writes the report.
-	Run func(scale int, w io.Writer) error
-}
-
-// All returns every experiment, in paper order.
-func All() []Experiment {
+// paperExperiments are the paper's tables and figures, in paper order.
+func paperExperiments() []Experiment {
 	return []Experiment{
-		{"fig2", "CVE study: container-exploitable kernel CVEs by effect", Fig2},
-		{"tab1", "VM-level container design space (measured cells)", Tab1},
-		{"tab2", "Microbenchmark latencies (syscall, pgfault, hypercall)", Tab2},
-		{"tab3", "Privileged-instruction blocking matrix", Tab3},
-		{"fig4", "Memory-intensive latency without CKI (motivation)", Fig4},
-		{"fig5", "I/O-intensive throughput without CKI (motivation)", Fig5},
-		{"fig10a", "Page-fault latency breakdown", Fig10a},
-		{"fig10b", "Syscall latency and OPT1/2/3 ablation", Fig10b},
-		{"fig11", "lmbench microbenchmarks", Fig11},
-		{"fig12", "Memory-intensive applications", Fig12},
-		{"fig13", "Overhead sweeps (BTree ratio, XSBench particles)", Fig13},
-		{"tab4", "TLB-miss-intensive applications", Tab4},
-		{"fig14", "SQLite throughput and syscall frequency", Fig14},
-		{"fig15", "Syscall-optimization breakdown on SQLite", Fig15},
-		{"fig16", "Key-value throughput vs number of clients", Fig16},
-		{"tab5", "Intra-kernel isolation comparison", Tab5},
+		table("fig2", "CVE study: container-exploitable kernel CVEs by effect", Fig2),
+		table("tab1", "VM-level container design space (measured cells)", Tab1),
+		table("tab2", "Microbenchmark latencies (syscall, pgfault, hypercall)", Tab2),
+		table("tab3", "Privileged-instruction blocking matrix", Tab3),
+		table("fig4", "Memory-intensive latency without CKI (motivation)", Fig4),
+		table("fig5", "I/O-intensive throughput without CKI (motivation)", Fig5),
+		table("fig10a", "Page-fault latency breakdown", Fig10a),
+		table("fig10b", "Syscall latency and OPT1/2/3 ablation", Fig10b),
+		table("fig11", "lmbench microbenchmarks", Fig11),
+		table("fig12", "Memory-intensive applications", Fig12),
+		table("fig13", "Overhead sweeps (BTree ratio, XSBench particles)", Fig13),
+		table("tab4", "TLB-miss-intensive applications", Tab4),
+		table("fig14", "SQLite throughput and syscall frequency", Fig14),
+		table("fig15", "Syscall-optimization breakdown on SQLite", Fig15),
+		table("fig16", "Key-value throughput vs number of clients", Fig16),
+		table("tab5", "Intra-kernel isolation comparison", Tab5),
 	}
-}
-
-// Find returns the experiment with the given ID.
-func Find(id string) (Experiment, bool) {
-	for _, e := range All() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
 }
 
 // standardSet is the comparison set of most figures.

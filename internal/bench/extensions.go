@@ -9,31 +9,6 @@ import (
 	"repro/internal/hw"
 )
 
-// Extension experiments beyond the paper's tables and figures: the
-// design-space ablations §3.1/§3.3 argue from, and the §9 future-work
-// directions. Registered alongside the paper experiments so ckibench
-// regenerates them too.
-
-// Extensions returns the extension experiments.
-func Extensions() []Experiment {
-	return []Experiment{
-		{"ext-pku", "Design-PKU vs Design-PKS (rejected alternative, §3.1)", ExtPKU},
-		{"ext-gate", "KSM gate side-channel hardening ablation (§3.3)", ExtGate},
-		{"ext-future", "Future work: driver sandbox & in-kernel syscalls (§9)", ExtFuture},
-		{"ext-cow", "Eager vs copy-on-write fork across runtimes", ExtCOW},
-		{"ext-density", "CKI container density (Challenge-1 at scale)", ExtDensity},
-		{"ext-preempt", "Timer-tick (preemption) tax per runtime", ExtPreempt},
-		{"chaos", "Fault-injection survival across runtimes (Fig. 2)", ExtChaos},
-		{"smp", "Multi-core scaling & TLB-shootdown latency (SMP engine)", ExtSMP},
-		{"snapshot", "Checkpoint/restore, live migration & warm-restart MTTR", ExtSnapshot},
-		{"fleet", "Datacenter fleet serving: capacity curves & tail latency", ExtFleet},
-		{"slo", "Live telemetry: SLO burn-rate alerts & flight-recorder postmortems", ExtSLO},
-		{"tail", "Per-request causal tracing: critical-path tail-latency attribution", ExtTail},
-		{"serverless", "Serverless churn: fork-from-snapshot cold-start fast path", ExtServerless},
-		{"breakdown", "Cycle attribution: per-phase span trees vs measured totals", ExtBreakdown},
-	}
-}
-
 // ExtPKU quantifies the rejected PKU-based design: same domain
 // isolation, but the guest kernel lives in user mode, so exceptions are
 // injected across rings (~750ns extra) and syscalls pay PKU domain

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -520,14 +519,13 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 
 // WriteFleetJSON writes the report in the exact encoding of the
 // committed BENCH_fleet artifact.
-func WriteFleetJSON(rep *FleetReport, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
+func WriteFleetJSON(rep *FleetReport, w io.Writer) error { return writeJSON(w, rep) }
 
-// WriteFleetTable renders the capacity curves and tails as a table.
-func WriteFleetTable(rep *FleetReport, w io.Writer) error {
+// WriteJSON writes the report in the committed BENCH_fleet encoding.
+func (rep *FleetReport) WriteJSON(w io.Writer) error { return writeJSON(w, rep) }
+
+// WriteTable renders the capacity curves and tails as a table.
+func (rep *FleetReport) WriteTable(w io.Writer) error {
 	t := NewTable(
 		fmt.Sprintf("Fleet serving: %d nodes x %d slots, open-loop arrivals", rep.Nodes, rep.SlotsPerNode),
 		"runtime", "sched", "load", "offered/s", "done", "rejected", "goodput/s", "p50", "p99", "p999", "maxQ")
@@ -558,21 +556,53 @@ func WriteFleetTable(rep *FleetReport, w io.Writer) error {
 	return err
 }
 
-// ExtFleet is the table-mode entry point (ckibench -exp fleet).
-func ExtFleet(scale int, w io.Writer) error {
-	rep, err := RunFleet(FleetOpts{Scale: scale, Parallel: DefaultParallel()})
-	if err != nil {
-		return err
+// Invariants checks what BENCH_fleet promises: a calibrated cost model
+// per runtime; a complete runtime x scheduler x load grid with >= 1000
+// arrivals per cell and monotone tails; an overload segment that
+// rejects; a storm that evicts every time, restores warm somewhere, and
+// accounts for each eviction; and a non-empty replay digest for each of
+// every runtime's replayed storm nodes.
+func (rep *FleetReport) Invariants() error {
+	cells := map[string]bool{}
+	for _, r := range rep.Rows {
+		cells[r.Runtime+"/"+r.Sched+"/"+r.Load] = true
 	}
-	return WriteFleetTable(rep, w)
-}
-
-// FleetJSONParallel runs the experiment and writes the committed
-// artifact encoding; the bytes are identical for any parallel value.
-func FleetJSONParallel(o FleetOpts, w io.Writer) error {
-	rep, err := RunFleet(o)
-	if err != nil {
-		return err
+	want := len(fleetSpecs()) * len(rep.Schedulers) * (len(fleetLoadPoints) + 2) // + diurnal + storm
+	if len(rep.Calibration) != len(fleetSpecs()) || len(rep.Rows) != want || len(cells) != want {
+		return fmt.Errorf("fleet: %d calibrations and %d rows over %d cells, want %d and %d",
+			len(rep.Calibration), len(rep.Rows), len(cells), len(fleetSpecs()), want)
 	}
-	return WriteFleetJSON(rep, w)
+	for _, c := range rep.Calibration {
+		if c.Runtime == "" || c.BootNs < 0 || c.ServiceNs <= 0 || c.WarmRestoreNs <= 0 {
+			return fmt.Errorf("fleet: degenerate calibration: %+v", c)
+		}
+	}
+	overload := fmt.Sprintf("%.2fx", fleetLoadPoints[len(fleetLoadPoints)-1])
+	overloadRejects, warm := false, false
+	for _, r := range rep.Rows {
+		switch {
+		case r.Arrived < 1000:
+			return fmt.Errorf("fleet: %s/%s/%s: only %d arrivals", r.Runtime, r.Sched, r.Load, r.Arrived)
+		case r.P50Ms > r.P99Ms || r.P99Ms > r.P999Ms:
+			return fmt.Errorf("fleet: %s/%s/%s: quantiles not monotone: %+v", r.Runtime, r.Sched, r.Load, r)
+		case r.Load == "storm" && (r.Evicted == 0 || r.WarmRestores+r.ColdRedos > r.Evicted):
+			// Running instances split warm/cold; displaced queued ones just
+			// re-place, so the split never exceeds the eviction count.
+			return fmt.Errorf("fleet: %s/%s: storm evictions unaccounted: %+v", r.Runtime, r.Sched, r)
+		}
+		overloadRejects = overloadRejects || r.Load == overload && r.Rejected > 0
+		warm = warm || r.Load == "storm" && r.WarmRestores > 0
+	}
+	if !overloadRejects || !warm {
+		return fmt.Errorf("fleet: %s rejects %v, storm restores warm %v; want both", overload, overloadRejects, warm)
+	}
+	if want := len(fleetSpecs()) * fleetReplayNodes; len(rep.Replay) != want {
+		return fmt.Errorf("fleet: %d replay digests, want %d", len(rep.Replay), want)
+	}
+	for _, a := range rep.Replay {
+		if a.Runtime == "" || a.Node >= rep.Nodes || a.Requests == 0 || a.Spans == 0 || a.MetricsFNV == 0 {
+			return fmt.Errorf("fleet: degenerate replay digest: %+v", a)
+		}
+	}
+	return nil
 }

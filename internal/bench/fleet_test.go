@@ -10,29 +10,13 @@ import (
 	"repro/internal/clock"
 )
 
-// TestFleetParallelIdentical: the committed-artifact contract — the
-// emitted bytes are identical for any -parallel value and across
-// reruns.
+// TestFleetParallelIdentical: off the default grid too (one scheduler,
+// one custom segment, four nodes), the report bytes are identical for
+// any -parallel value.
 func TestFleetParallelIdentical(t *testing.T) {
-	o := FleetOpts{Scale: 1, Nodes: 4, Sched: "spread", ArrivalRate: 20_000}
-	var seq, par, again bytes.Buffer
-	o.Parallel = 1
-	if err := FleetJSONParallel(o, &seq); err != nil {
-		t.Fatal(err)
-	}
-	o.Parallel = 8
-	if err := FleetJSONParallel(o, &par); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Fatalf("fleet report differs between -parallel 1 and 8")
-	}
-	if err := FleetJSONParallel(o, &again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(par.Bytes(), again.Bytes()) {
-		t.Fatalf("fleet report differs across reruns")
-	}
+	sameAcrossParallel(t, func(parallel int) (*FleetReport, error) {
+		return RunFleet(FleetOpts{Scale: 1, Parallel: parallel, Nodes: 4, Sched: "spread", ArrivalRate: 20_000})
+	})
 }
 
 // TestFleetScrapeLeavesReportUnchanged: attaching a telemetry probe is
@@ -67,63 +51,15 @@ func TestFleetScrapeLeavesReportUnchanged(t *testing.T) {
 	}
 }
 
-// TestFleetReportShape: the default grid covers every runtime, both
-// schedulers, the whole load axis, an overload segment that rejects,
-// a storm segment that evicts, and a replay digest per storm node.
+// TestFleetReportShape: the default grid's invariants hold at a
+// fleet size other than the committed one.
 func TestFleetReportShape(t *testing.T) {
 	rep, err := RunFleet(FleetOpts{Scale: 1, Parallel: DefaultParallel(), Nodes: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nRT := len(fleetSpecs())
-	nSegs := len(fleetLoadPoints) + 2 // + diurnal + storm
-	if want := nRT * nSegs * 2; len(rep.Rows) != want {
-		t.Fatalf("got %d rows, want %d", len(rep.Rows), want)
-	}
-	if len(rep.Calibration) != nRT {
-		t.Fatalf("got %d calibration rows, want %d", len(rep.Calibration), nRT)
-	}
-	for _, c := range rep.Calibration {
-		if c.Runtime == "" || c.BootNs < 0 || c.ServiceNs <= 0 || c.WarmRestoreNs <= 0 {
-			t.Fatalf("degenerate calibration: %+v", c)
-		}
-	}
-	overloadRejects, stormEvicts := false, false
-	for _, r := range rep.Rows {
-		if r.Arrived < 1000 {
-			t.Fatalf("%s/%s/%s: only %d arrivals", r.Runtime, r.Sched, r.Load, r.Arrived)
-		}
-		if r.P50Ms > r.P99Ms || r.P99Ms > r.P999Ms {
-			t.Fatalf("%s/%s/%s: quantiles not monotone: %+v", r.Runtime, r.Sched, r.Load, r)
-		}
-		if r.Load == "1.30x" && r.Rejected > 0 {
-			overloadRejects = true
-		}
-		if r.Load == "storm" {
-			if r.Evicted == 0 {
-				t.Fatalf("%s/%s: storm evicted nothing", r.Runtime, r.Sched)
-			}
-			// Running instances split warm/cold; displaced queued ones
-			// just re-place, so the split never exceeds the eviction count.
-			if r.WarmRestores+r.ColdRedos > r.Evicted {
-				t.Fatalf("%s/%s: evictions unaccounted: %+v", r.Runtime, r.Sched, r)
-			}
-			stormEvicts = true
-		}
-	}
-	if !overloadRejects {
-		t.Fatalf("no overload segment reported backpressure")
-	}
-	if !stormEvicts {
-		t.Fatalf("no storm segment present")
-	}
-	if want := nRT * fleetReplayNodes; len(rep.Replay) != want {
-		t.Fatalf("got %d replay digests, want %d", len(rep.Replay), want)
-	}
-	for _, a := range rep.Replay {
-		if a.Runtime == "" || a.Requests == 0 || a.Spans == 0 || a.MetricsFNV == 0 {
-			t.Fatalf("degenerate replay digest: %+v", a)
-		}
+	if err := rep.Invariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -175,7 +111,7 @@ func TestFleetTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer
-	if err := WriteFleetTable(rep, &b); err != nil {
+	if err := rep.WriteTable(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -14,7 +14,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"io"
 	"runtime"
 	"sync"
@@ -131,15 +130,16 @@ func RunChaosSweep(scale int, baseSeed uint64, seeds, parallel int) (*ChaosSweep
 	return rep, nil
 }
 
-// ChaosSweepJSON runs the seed sweep and writes the report as indented
-// JSON (the -exp chaos -json -seeds N output). Byte-identical for any
-// parallel value.
-func ChaosSweepJSON(scale, seeds, parallel int, w io.Writer) error {
-	rep, err := RunChaosSweep(scale, ChaosSeed, seeds, parallel)
-	if err != nil {
-		return err
+// WriteTable renders every seed's survival table in sweep order.
+func (rep *ChaosSweepReport) WriteTable(w io.Writer) error {
+	for _, r := range rep.Runs {
+		if err := r.WriteTable(w); err != nil {
+			return err
+		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return nil
 }
+
+// WriteJSON writes the sweep report (the -exp chaos -json -seeds N
+// output).
+func (rep *ChaosSweepReport) WriteJSON(w io.Writer) error { return writeJSON(w, rep) }

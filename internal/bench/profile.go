@@ -243,13 +243,60 @@ func (p *SMPProfile) WriteMetricsProm(w io.Writer) error {
 	return p.reg.WriteProm(w)
 }
 
-// ExtBreakdown is the "breakdown" experiment: the profiled SMP run's
-// per-phase attribution, with the exact-sum verification as the pass
-// criterion.
-func ExtBreakdown(scale int, w io.Writer) error {
-	prof, err := RunSMPProfiled(scale, SMPSeed)
+// Invariants checks what the profile's side outputs promise: the
+// Chrome trace (-trace-out) is in ns, names one process per runtime,
+// and carries complete ("X") flow/remote events only; the metrics
+// snapshot (-metrics-out) has the syscall-latency and shootdown
+// families, each with a name, kind, and series.
+func (p *SMPProfile) Invariants() error {
+	var tr struct {
+		DisplayTimeUnit string
+		TraceEvents     []struct{ Ph, Name, Cat string }
+	}
+	if err := json.Unmarshal(p.ChromeJSON(), &tr); err != nil {
+		return fmt.Errorf("chrome trace: %w", err)
+	}
+	if tr.DisplayTimeUnit != "ns" {
+		return fmt.Errorf("chrome trace: displayTimeUnit %q, want ns", tr.DisplayTimeUnit)
+	}
+	procs, complete := 0, 0
+	for _, ev := range tr.TraceEvents {
+		switch {
+		case ev.Ph == "M" && ev.Name == "process_name":
+			procs++
+		case ev.Ph == "X":
+			complete++
+			if ev.Cat != "flow" && ev.Cat != "remote" {
+				return fmt.Errorf("chrome trace: complete event %q in category %q", ev.Name, ev.Cat)
+			}
+		}
+	}
+	if procs != len(smpSpecs()) || complete == 0 {
+		return fmt.Errorf("chrome trace: %d processes, %d complete events; want one process per runtime and events", procs, complete)
+	}
+	mj, err := p.MetricsJSON()
 	if err != nil {
 		return err
 	}
-	return prof.WriteBreakdown(w)
+	var snap struct{ Families []map[string]json.RawMessage }
+	if err := json.Unmarshal(mj, &snap); err != nil {
+		return fmt.Errorf("metrics: %w", err)
+	}
+	names := map[string]bool{}
+	for _, f := range snap.Families {
+		if f["name"] == nil || f["kind"] == nil || f["series"] == nil {
+			return fmt.Errorf("metrics: family without name, kind, or series: %v", f)
+		}
+		var name string
+		if err := json.Unmarshal(f["name"], &name); err != nil {
+			return fmt.Errorf("metrics: %w", err)
+		}
+		names[name] = true
+	}
+	for _, want := range []string{"syscall_latency_ns", "smp_shootdowns_total"} {
+		if !names[want] {
+			return fmt.Errorf("metrics: no %s family", want)
+		}
+	}
+	return nil
 }

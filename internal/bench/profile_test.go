@@ -79,6 +79,12 @@ func TestSMPProfile(t *testing.T) {
 		}
 	})
 
+	t.Run("side outputs hold their invariants", func(t *testing.T) {
+		if err := prof.Invariants(); err != nil {
+			t.Error(err)
+		}
+	})
+
 	t.Run("breakdown sums exactly", func(t *testing.T) {
 		var buf bytes.Buffer
 		if err := prof.WriteBreakdown(&buf); err != nil {

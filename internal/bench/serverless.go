@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -615,15 +614,14 @@ func RunServerless(o ServerlessOpts) (*ServerlessReport, error) {
 
 // WriteServerlessJSON writes the report in the exact encoding of the
 // committed BENCH_serverless artifact.
-func WriteServerlessJSON(rep *ServerlessReport, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
+func WriteServerlessJSON(rep *ServerlessReport, w io.Writer) error { return writeJSON(w, rep) }
 
-// WriteServerlessTable renders the calibration, churn, and fleet rows
-// as tables.
-func WriteServerlessTable(rep *ServerlessReport, w io.Writer) error {
+// WriteJSON writes the report in the committed BENCH_serverless
+// encoding.
+func (rep *ServerlessReport) WriteJSON(w io.Writer) error { return writeJSON(w, rep) }
+
+// WriteTable renders the calibration, churn, and fleet rows as tables.
+func (rep *ServerlessReport) WriteTable(w io.Writer) error {
 	t := NewTable(
 		fmt.Sprintf("Serverless instantiation paths (%d-page heap, %d hot, TLB %d)",
 			rep.HeapPages, rep.HotPages, rep.TLBEntries),
@@ -674,22 +672,40 @@ func WriteServerlessTable(rep *ServerlessReport, w io.Writer) error {
 	return err
 }
 
-// ExtServerless is the table-mode entry point (ckibench -exp
-// serverless).
-func ExtServerless(scale int, w io.Writer) error {
-	rep, err := RunServerless(ServerlessOpts{Scale: scale, Parallel: DefaultParallel()})
-	if err != nil {
-		return err
+// Invariants checks what BENCH_serverless promises: on every runtime
+// the calibrated paths order forks < eager restore < cold boot, the COW
+// fork broke shares and the lazy fork deferred pages, and the churn
+// loop shared pages and drained its store; every fleet cell of the
+// runtime x mode grid completed work with populated attribution; and
+// the headline, CKI's p99 ordering lazy < eager < cold.
+func (rep *ServerlessReport) Invariants() error {
+	n := len(serverlessSpecs())
+	if len(rep.Calibration) != n || len(rep.Churn) != n || len(rep.Rows) != n*len(serverlessModes) {
+		return fmt.Errorf("serverless: %d calibration / %d churn / %d fleet rows, want %d / %d / %d",
+			len(rep.Calibration), len(rep.Churn), len(rep.Rows), n, n, n*len(serverlessModes))
 	}
-	return WriteServerlessTable(rep, w)
-}
-
-// ServerlessJSONParallel runs the experiment and writes the committed
-// artifact encoding; the bytes are identical for any parallel value.
-func ServerlessJSONParallel(o ServerlessOpts, w io.Writer) error {
-	rep, err := RunServerless(o)
-	if err != nil {
-		return err
+	for _, c := range rep.Calibration {
+		if !(c.LazyForkNs < c.EagerRestoreNs && c.CowForkNs < c.EagerRestoreNs && c.EagerRestoreNs < c.ColdBootNs) ||
+			c.ShareBreaks == 0 || c.DeferredPages == 0 {
+			return fmt.Errorf("serverless: %s: instantiation costs out of order or nothing shared/deferred: %+v", c.Runtime, c)
+		}
 	}
-	return WriteServerlessJSON(rep, w)
+	for _, c := range rep.Churn {
+		if !c.Drained || c.PeakSharedRefs == 0 || c.PeakUniquePages < 2 || c.Breaks == 0 {
+			return fmt.Errorf("serverless: %s: churn loop shared nothing or leaked: %+v", c.Runtime, c)
+		}
+	}
+	p99 := map[string]float64{}
+	for _, r := range rep.Rows {
+		if r.Completed == 0 || r.BootPct <= 0 || r.ServicePct <= 0 {
+			return fmt.Errorf("serverless: %s/%s: no completions or degenerate attribution: %+v", r.Runtime, r.Mode, r)
+		}
+		if r.Runtime == "CKI-BM" {
+			p99[r.Mode] = r.P99Ms
+		}
+	}
+	if len(p99) != len(serverlessModes) || !(p99["lazy"] < p99["eager"] && p99["eager"] < p99["cold"]) {
+		return fmt.Errorf("serverless: CKI p99 ordering violated or incomplete: %v", p99)
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -129,7 +128,7 @@ type SLORow struct {
 	// Alerts is the cell's full alert timeline in fire order.
 	Alerts []telemetry.Alert `json:"alerts"`
 	// DetectionNs is virtual time from storm onset to the first page
-	// (0 when no page fired — the CI gate requires > 0).
+	// (0 when no page fired — Invariants requires > 0).
 	DetectionNs int64 `json:"detection_ns"`
 	// BurnCurve is the reject-rate SLO's per-tick burn rates.
 	BurnCurve []telemetry.BurnPoint `json:"burn_curve"`
@@ -517,11 +516,10 @@ func RunSLO(o SLOOpts) (*SLOReport, error) {
 
 // WriteSLOJSON writes the report in the exact encoding of the
 // committed BENCH_slo artifact.
-func WriteSLOJSON(rep *SLOReport, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
+func WriteSLOJSON(rep *SLOReport, w io.Writer) error { return writeJSON(w, rep) }
+
+// WriteJSON writes the report in the committed BENCH_slo encoding.
+func (rep *SLOReport) WriteJSON(w io.Writer) error { return writeJSON(w, rep) }
 
 // WriteSLOTimelines writes each cell's full-resolution time-series
 // store as a CKITS1 binary under dir (ckibench -slo-out).
@@ -564,8 +562,8 @@ func WriteSLOBundles(rep *SLOReport, dir string) error {
 	return nil
 }
 
-// WriteSLOTable renders the alert timelines and detection latencies.
-func WriteSLOTable(rep *SLOReport, w io.Writer) error {
+// WriteTable renders the alert timelines and detection latencies.
+func (rep *SLOReport) WriteTable(w io.Writer) error {
 	t := NewTable(
 		fmt.Sprintf("SLO burn-rate alerting: %d nodes x %d slots, eviction storm at t=horizon/3",
 			rep.Nodes, rep.SlotsPerNode),
@@ -613,11 +611,54 @@ func WriteSLOTable(rep *SLOReport, w io.Writer) error {
 	return err
 }
 
-// ExtSLO is the table-mode entry point (ckibench -exp slo).
-func ExtSLO(scale int, w io.Writer) error {
-	rep, err := RunSLO(SLOOpts{Scale: scale, Parallel: DefaultParallel()})
-	if err != nil {
-		return err
+// Invariants checks what BENCH_slo promises for every runtime: the
+// storm rejected and evicted; every reject-rate page fired inside the
+// storm window with positive detection latency and resolved after the
+// nodes returned; the burn curve has one point per tick; and the
+// machine replay crashed at least twice, raised node alerts, and left
+// both an alert bundle and watchdog bundles that captured spans and
+// audit events.
+func (rep *SLOReport) Invariants() error {
+	if len(rep.Rows) != len(fleetSpecs()) {
+		return fmt.Errorf("slo: %d rows, want one per runtime (%d)", len(rep.Rows), len(fleetSpecs()))
 	}
-	return WriteSLOTable(rep, w)
+	for _, r := range rep.Rows {
+		switch {
+		case r.DetectionNs <= 0:
+			return fmt.Errorf("slo: %s: detection latency %d, want > 0", r.Runtime, r.DetectionNs)
+		case r.Rejected == 0 || r.Evicted == 0:
+			return fmt.Errorf("slo: %s: the storm rejected %d, evicted %d", r.Runtime, r.Rejected, r.Evicted)
+		case len(r.BurnCurve) != r.Ticks:
+			return fmt.Errorf("slo: %s: burn curve has %d points, want %d", r.Runtime, len(r.BurnCurve), r.Ticks)
+		case r.ReplayCrashes < 2:
+			return fmt.Errorf("slo: %s: replay saw %d crashes, want >= 2", r.Runtime, r.ReplayCrashes)
+		case len(r.NodeAlerts) == 0:
+			return fmt.Errorf("slo: %s: machine replay raised no node alerts", r.Runtime)
+		}
+		pages := 0
+		for _, a := range r.Alerts {
+			if a.SLO != "reject-rate" || a.Severity != "page" {
+				continue
+			}
+			pages++
+			if a.FiredAtNs < r.StormStartNs || a.FiredAtNs > r.StormEndNs || a.ResolvedAtNs <= a.FiredAtNs {
+				return fmt.Errorf("slo: %s: page fired at %dns outside storm window [%d, %d] or never resolved (%d)",
+					r.Runtime, a.FiredAtNs, r.StormStartNs, r.StormEndNs, a.ResolvedAtNs)
+			}
+		}
+		if pages == 0 {
+			return fmt.Errorf("slo: %s: no reject-rate page fired", r.Runtime)
+		}
+		reasons := map[string]int{}
+		for _, d := range r.Bundles {
+			reasons[d.Reason]++
+			if d.Series == 0 || d.FNV == 0 || d.Reason == "watchdog" && (d.Spans == 0 || d.Events == 0) {
+				return fmt.Errorf("slo: %s: empty bundle digest %+v", r.Runtime, d)
+			}
+		}
+		if reasons["alert"] == 0 || reasons["watchdog"] == 0 {
+			return fmt.Errorf("slo: %s: bundle reasons %v, want both alert and watchdog", r.Runtime, reasons)
+		}
+	}
+	return nil
 }

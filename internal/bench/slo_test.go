@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,88 +9,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestSLOExperiment pins the experiment's contract: the report is
-// byte-identical across parallelism, every runtime's paging alert
-// fires inside the seeded storm window with positive detection latency
-// and resolves after the nodes return, and every cell carries a page
-// bundle, a watchdog bundle, and the machine replay's node alerts.
+// TestSLOExperiment: the -slo-out and -bundle-out writers emit one
+// timeline per runtime and one file per bundle of the committed run
+// (TestArtifacts checks its report), and the timelines round-trip
+// through CKITS1.
 func TestSLOExperiment(t *testing.T) {
-	seq, err := RunSLO(SLOOpts{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
+	e, ok := Find("slo")
+	if !ok {
+		t.Fatal("slo not registered")
 	}
-	par, err := RunSLO(SLOOpts{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := WriteSLOJSON(seq, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSLOJSON(par, &b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("slo report differs between -parallel 1 and 4")
-	}
-
-	if len(seq.Rows) != len(fleetSpecs()) {
-		t.Fatalf("got %d rows, want %d", len(seq.Rows), len(fleetSpecs()))
-	}
-	for _, r := range seq.Rows {
-		if r.DetectionNs <= 0 {
-			t.Errorf("%s: detection latency %d, want > 0", r.Runtime, r.DetectionNs)
-		}
-		var page *telemetry.Alert
-		for i, al := range r.Alerts {
-			if al.SLO == "reject-rate" && al.Severity == "page" {
-				page = &r.Alerts[i]
-				break
-			}
-		}
-		if page == nil {
-			t.Errorf("%s: no reject-rate page fired", r.Runtime)
-			continue
-		}
-		if page.FiredAtNs < r.StormStartNs || page.FiredAtNs > r.StormEndNs {
-			t.Errorf("%s: page fired at %dns outside storm window [%d, %d]",
-				r.Runtime, page.FiredAtNs, r.StormStartNs, r.StormEndNs)
-		}
-		if page.ResolvedAtNs <= page.FiredAtNs {
-			t.Errorf("%s: page never resolved (fired %d, resolved %d)",
-				r.Runtime, page.FiredAtNs, page.ResolvedAtNs)
-		}
-		reasons := map[string]int{}
-		for _, d := range r.Bundles {
-			reasons[d.Reason]++
-			if d.Series == 0 || d.FNV == 0 {
-				t.Errorf("%s: empty bundle digest %+v", r.Runtime, d)
-			}
-		}
-		if reasons["alert"] == 0 || reasons["watchdog"] == 0 {
-			t.Errorf("%s: bundle reasons %v, want both alert and watchdog", r.Runtime, reasons)
-		}
-		for _, d := range r.Bundles {
-			// The machine-replay bundles (everything after the fleet-level
-			// page bundle) must capture real spans and audit events.
-			if d.Reason == "watchdog" && (d.Spans == 0 || d.Events == 0) {
-				t.Errorf("%s: watchdog bundle captured %d spans, %d events; want both > 0",
-					r.Runtime, d.Spans, d.Events)
-			}
-		}
-		if r.ReplayCrashes < 2 {
-			t.Errorf("%s: replay saw %d crashes, want >= 2", r.Runtime, r.ReplayCrashes)
-		}
-		if len(r.NodeAlerts) == 0 {
-			t.Errorf("%s: machine replay raised no node alerts", r.Runtime)
-		}
-		if len(r.BurnCurve) != r.Ticks {
-			t.Errorf("%s: burn curve has %d points, want %d", r.Runtime, len(r.BurnCurve), r.Ticks)
-		}
-	}
-
-	// The writers must emit one timeline per runtime and one file per
-	// bundle, and the timelines must round-trip through CKITS1.
+	seq := runAt(t, e, 1).(*SLOReport)
 	dir := t.TempDir()
 	if err := WriteSLOTimelines(seq, dir); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -310,18 +309,8 @@ func runSMP(scale int, seed uint64, prof *SMPProfile, rec *audit.Recorder, paral
 	return rep, nil
 }
 
-// ExtSMP renders the SMP scaling report as a table.
-func ExtSMP(scale int, w io.Writer) error {
-	rep, err := RunSMP(scale, SMPSeed)
-	if err != nil {
-		return err
-	}
-	return WriteSMPTable(rep, w)
-}
-
-// WriteSMPTable renders an SMP report as the scaling table (shared by
-// ExtSMP and ckibench's artifact mode, which already holds a report).
-func WriteSMPTable(rep *SMPReport, w io.Writer) error {
+// WriteTable renders the report as the scaling table.
+func (rep *SMPReport) WriteTable(w io.Writer) error {
 	t := NewTable("Multi-core scaling and TLB-shootdown latency (SMP engine)",
 		"runtime", "vCPUs", "service/req", "shootdown", "throughput (op/s)", "speedup")
 	for _, r := range rep.Rows {
@@ -339,26 +328,42 @@ func WriteSMPTable(rep *SMPReport, w io.Writer) error {
 	return err
 }
 
-// SMPJSON runs the SMP experiment and writes the report as indented
-// JSON (the committed BENCH_smp artifact).
-func SMPJSON(scale int, w io.Writer) error {
-	return SMPJSONParallel(scale, 1, w)
-}
-
-// SMPJSONParallel is SMPJSON with the grid cells fanned out to at most
-// parallel goroutines; the emitted bytes are identical for any value.
-func SMPJSONParallel(scale, parallel int, w io.Writer) error {
-	rep, err := RunSMPParallel(scale, SMPSeed, parallel)
-	if err != nil {
-		return err
-	}
-	return WriteSMPReportJSON(rep, w)
-}
-
 // WriteSMPReportJSON writes an already-computed report in the exact
 // encoding of the committed BENCH_smp artifact.
-func WriteSMPReportJSON(rep *SMPReport, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+func WriteSMPReportJSON(rep *SMPReport, w io.Writer) error { return writeJSON(w, rep) }
+
+// WriteJSON writes the report in the committed BENCH_smp encoding.
+func (rep *SMPReport) WriteJSON(w io.Writer) error { return writeJSON(w, rep) }
+
+// Invariants checks what BENCH_smp promises: one row per (runtime,
+// vCPU count) of the grid, positive throughput everywhere, a 1-vCPU
+// baseline with speedup 1 and no shootdowns, and shootdown traffic
+// with a positive latency on every multi-vCPU row.
+func (rep *SMPReport) Invariants() error {
+	if want := len(smpSpecs()) * len(SMPVCPUCounts); len(rep.Rows) != want {
+		return fmt.Errorf("smp: %d rows, want %d (every runtime at %v vCPUs)", len(rep.Rows), want, SMPVCPUCounts)
+	}
+	vcpus := map[int]int{}
+	for _, r := range rep.Rows {
+		vcpus[r.VCPUs]++
+		if r.Throughput <= 0 {
+			return fmt.Errorf("smp: %s @%d vCPUs: throughput %v", r.Runtime, r.VCPUs, r.Throughput)
+		}
+		if r.VCPUs == 1 {
+			if r.Speedup != 1 || r.Shootdowns != 0 {
+				return fmt.Errorf("smp: %s @1 vCPU: speedup %v, %d shootdowns; want 1, 0", r.Runtime, r.Speedup, r.Shootdowns)
+			}
+			continue
+		}
+		if r.Shootdowns == 0 || r.IPIsSent == 0 || r.ShootdownNs <= 0 {
+			return fmt.Errorf("smp: %s @%d vCPUs: no shootdown traffic (%d shootdowns, %d IPIs, %vns)",
+				r.Runtime, r.VCPUs, r.Shootdowns, r.IPIsSent, r.ShootdownNs)
+		}
+	}
+	for _, n := range SMPVCPUCounts {
+		if vcpus[n] != len(smpSpecs()) {
+			return fmt.Errorf("smp: %d rows at %d vCPUs, want one per runtime", vcpus[n], n)
+		}
+	}
+	return nil
 }

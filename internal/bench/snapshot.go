@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -76,7 +76,7 @@ type SnapshotReport struct {
 	Rows     []SnapshotRow `json:"containers"`
 
 	// blobs holds each cell's initial checkpoint image, aligned with
-	// Rows; not serialized — the CI smoke job extracts one via
+	// Rows; not serialized — ckibench -snap-out extracts one via
 	// CheckpointBlob.
 	blobs [][]byte
 }
@@ -339,14 +339,13 @@ func RunSnapshot(scale, parallel, interval int) (*SnapshotReport, error) {
 
 // WriteSnapshotJSON writes the report as indented JSON (the committed
 // BENCH_snapshot artifact).
-func WriteSnapshotJSON(rep *SnapshotReport, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
+func WriteSnapshotJSON(rep *SnapshotReport, w io.Writer) error { return writeJSON(w, rep) }
 
-// WriteSnapshotTable renders the report as a table.
-func WriteSnapshotTable(rep *SnapshotReport, w io.Writer) error {
+// WriteJSON writes the report in the committed BENCH_snapshot encoding.
+func (rep *SnapshotReport) WriteJSON(w io.Writer) error { return writeJSON(w, rep) }
+
+// WriteTable renders the report as a table.
+func (rep *SnapshotReport) WriteTable(w io.Writer) error {
 	t := NewTable("Checkpoint/restore, live migration, and warm-restart recovery",
 		"runtime", "ckpt bytes", "resident", "checkpoint", "restore",
 		"pre-copy", "downtime", "warm MTTR", "cold MTTR")
@@ -363,14 +362,33 @@ func WriteSnapshotTable(rep *SnapshotReport, w io.Writer) error {
 	return err
 }
 
-// ExtSnapshot runs the experiment at the default checkpoint interval
-// and renders the table.
-func ExtSnapshot(scale int, w io.Writer) error {
-	rep, err := RunSnapshot(scale, DefaultParallel(), 1)
-	if err != nil {
-		return err
+// Invariants checks what BENCH_snapshot promises: every runtime has a
+// non-empty checkpoint whose image this run holds, a paid-for restore,
+// a converged pre-copy with a real blackout, and on CKI and PVM warm
+// restores that recover faster than cold restarts.
+func (rep *SnapshotReport) Invariants() error {
+	if len(rep.Rows) != len(snapshotSpecs()) {
+		return fmt.Errorf("snapshot: %d rows, want one per runtime (%d)", len(rep.Rows), len(snapshotSpecs()))
 	}
-	return WriteSnapshotTable(rep, w)
+	for i, r := range rep.Rows {
+		switch {
+		case r.CheckpointB == 0 || r.ResidentPages == 0:
+			return fmt.Errorf("snapshot: %s: empty checkpoint (%d bytes, %d pages)", r.Runtime, r.CheckpointB, r.ResidentPages)
+		case len(rep.blobs[i]) != r.CheckpointB:
+			return fmt.Errorf("snapshot: %s: image is %d bytes, report says %d", r.Runtime, len(rep.blobs[i]), r.CheckpointB)
+		case r.RestoreNs <= 0:
+			return fmt.Errorf("snapshot: %s: free restore", r.Runtime)
+		case r.DowntimeNs <= 0 || r.PreDumpRounds < 1 || r.StopPages > r.PreDumpPages:
+			return fmt.Errorf("snapshot: %s: implausible migration: %+v", r.Runtime, r)
+		case (r.Runtime == "CKI-BM" || r.Runtime == "PVM-BM") && (r.WarmRestores == 0 || r.WarmMTTRNs >= r.ColdMTTRNs):
+			return fmt.Errorf("snapshot: %s: %d warm restores, warm MTTR %s not below cold %s",
+				r.Runtime, r.WarmRestores, r.WarmMTTR, r.ColdMTTR)
+		}
+	}
+	if rep.CheckpointBlob("CKI-BM") == nil {
+		return errors.New("snapshot: no CKI checkpoint image (-snap-out)")
+	}
+	return nil
 }
 
 // blobFNV hashes a checkpoint image with FNV-64a — the same family the

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -144,7 +143,7 @@ type TailQuantile struct {
 
 // TailExemplarRef is one histogram-bucket exemplar: the link from the
 // metrics layer back to a traced request. Every referenced ID resolves
-// to a waterfall in the same row (the CI gate checks).
+// to a waterfall in the same row (Invariants checks).
 type TailExemplarRef struct {
 	BucketNs  int64  `json:"bucket_ns"` // bucket upper bound, -1 = +Inf
 	RequestID string `json:"request_id"`
@@ -454,11 +453,10 @@ func RunTail(o TailOpts) (*TailReport, error) {
 
 // WriteTailJSON writes the report in the exact encoding of the
 // committed BENCH_tail artifact.
-func WriteTailJSON(rep *TailReport, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
+func WriteTailJSON(rep *TailReport, w io.Writer) error { return writeJSON(w, rep) }
+
+// WriteJSON writes the report in the committed BENCH_tail encoding.
+func (rep *TailReport) WriteJSON(w io.Writer) error { return writeJSON(w, rep) }
 
 // tailShare renders a component's share of an aggregate total.
 func tailShare(part, total int64) string {
@@ -468,8 +466,8 @@ func tailShare(part, total int64) string {
 	return fmt.Sprintf("%.0f%%", 100*float64(part)/float64(total))
 }
 
-// WriteTailTable renders the attribution summary as tables.
-func WriteTailTable(rep *TailReport, w io.Writer) error {
+// WriteTable renders the attribution summary as tables.
+func (rep *TailReport) WriteTable(w io.Writer) error {
 	t := NewTable(
 		fmt.Sprintf("Tail-latency attribution: %d nodes x %d slots, eviction storm at t=horizon/2",
 			rep.Nodes, rep.SlotsPerNode),
@@ -523,21 +521,63 @@ func WriteTailTable(rep *TailReport, w io.Writer) error {
 	return err
 }
 
-// ExtTail is the table-mode entry point (ckibench -exp tail).
-func ExtTail(scale int, w io.Writer) error {
-	rep, err := RunTail(TailOpts{Scale: scale, Parallel: DefaultParallel()})
-	if err != nil {
-		return err
-	}
-	return WriteTailTable(rep, w)
+// conserves reports whether the components sum exactly to the total.
+func (c TailComponents) conserves() bool {
+	return c.QueuePs+c.BootPs+c.WarmRestorePs+c.ServicePs+c.StormRedoPs == c.TotalPs
 }
 
-// TailJSONParallel runs the experiment and writes the committed
-// artifact encoding; the bytes are identical for any parallel value.
-func TailJSONParallel(o TailOpts, w io.Writer) error {
-	rep, err := RunTail(o)
-	if err != nil {
-		return err
+// Invariants checks what BENCH_tail promises for every runtime: the
+// storm displaced work; the components conserve (per quantile, per
+// waterfall, and in aggregate — RunTail checks every completed request,
+// this pins the reported subset); the p50/p99/p999 quantiles are
+// attributed and monotone; the top-K waterfalls run from arrival to
+// completion; every histogram exemplar resolves to a waterfall; and the
+// far-tail storm tax is non-negative.
+func (rep *TailReport) Invariants() error {
+	if len(rep.Rows) != len(fleetSpecs()) || len(rep.Calibration) != len(fleetSpecs()) {
+		return fmt.Errorf("tail: %d rows / %d calibrations, want one per runtime (%d)",
+			len(rep.Rows), len(rep.Calibration), len(fleetSpecs()))
 	}
-	return WriteTailJSON(rep, w)
+	for _, r := range rep.Rows {
+		switch {
+		case r.Arrived == 0 || r.Completed == 0 || r.Evicted == 0 || r.WarmRestores+r.ColdRedos == 0:
+			return fmt.Errorf("tail: %s: empty cell or a storm that displaced nothing: %+v", r.Runtime, r)
+		case len(r.Quantiles) != 3:
+			return fmt.Errorf("tail: %s: %d quantiles, want p50/p99/p999", r.Runtime, len(r.Quantiles))
+		case r.Quantiles[0].LatencyMs > r.Quantiles[1].LatencyMs || r.Quantiles[1].LatencyMs > r.Quantiles[2].LatencyMs:
+			return fmt.Errorf("tail: %s: quantiles not monotone: %+v", r.Runtime, r.Quantiles)
+		case !r.Totals.conserves() || r.Totals.Placements < r.Completed:
+			return fmt.Errorf("tail: %s: aggregate components do not conserve or undercount placements: %+v", r.Runtime, r.Totals)
+		case r.StormTaxP999Ms < 0:
+			return fmt.Errorf("tail: %s: negative p999 storm tax %v", r.Runtime, r.StormTaxP999Ms)
+		case len(r.Exemplars) == 0:
+			return fmt.Errorf("tail: %s: latency histogram recorded no exemplars", r.Runtime)
+		}
+		for _, q := range r.Quantiles {
+			if !q.Components.conserves() || q.Components.TotalPs == 0 || q.RequestID == "" {
+				return fmt.Errorf("tail: %s %s: degenerate or non-conserving quantile %+v", r.Runtime, q.Q, q)
+			}
+		}
+		waterfalls := map[string]bool{}
+		ranks := map[int]bool{}
+		for _, wf := range r.Waterfalls {
+			if !wf.Components.conserves() || len(wf.Steps) == 0 ||
+				wf.Steps[0].Kind != trace.SegArrival || wf.Steps[len(wf.Steps)-1].Kind != trace.SegComplete {
+				return fmt.Errorf("tail: %s %s: malformed waterfall %+v", r.Runtime, wf.RequestID, wf)
+			}
+			waterfalls[wf.RequestID] = true
+			ranks[wf.Rank] = true
+		}
+		for rank := 1; rank <= tailTopK; rank++ {
+			if !ranks[rank] {
+				return fmt.Errorf("tail: %s: no waterfall at slowness rank %d", r.Runtime, rank)
+			}
+		}
+		for _, e := range r.Exemplars {
+			if !waterfalls[e.RequestID] {
+				return fmt.Errorf("tail: %s: exemplar %s has no waterfall", r.Runtime, e.RequestID)
+			}
+		}
+	}
+	return nil
 }

@@ -4,115 +4,27 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/trace"
 )
 
-// TestTailParallelIdentical: the committed-artifact contract — the
-// emitted bytes are identical for any -parallel value and across
-// reruns.
+// TestTailParallelIdentical: off the default fleet size too, the
+// report bytes are identical for any -parallel value.
 func TestTailParallelIdentical(t *testing.T) {
-	o := TailOpts{Scale: 1, Nodes: 8}
-	var seq, par, again bytes.Buffer
-	o.Parallel = 1
-	if err := TailJSONParallel(o, &seq); err != nil {
-		t.Fatal(err)
-	}
-	o.Parallel = 8
-	if err := TailJSONParallel(o, &par); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Fatalf("tail report differs between -parallel 1 and 8")
-	}
-	if err := TailJSONParallel(o, &again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(par.Bytes(), again.Bytes()) {
-		t.Fatalf("tail report differs across reruns")
-	}
+	sameAcrossParallel(t, func(parallel int) (*TailReport, error) {
+		return RunTail(TailOpts{Scale: 1, Parallel: parallel, Nodes: 8})
+	})
 }
 
-// TestTailReportShape: every runtime gets an attributed row whose
-// components conserve (per quantile, per waterfall, and in aggregate),
-// whose storm actually bit, and whose exemplars all resolve to
-// waterfalls in the same row. RunTail itself conservation-checks every
-// completed request; this pins the reported subset arithmetically.
+// TestTailReportShape: the attribution invariants — conservation per
+// quantile, per waterfall, and in aggregate, a storm that displaced
+// work, and exemplars that resolve to waterfalls — hold at a fleet size
+// other than the committed one.
 func TestTailReportShape(t *testing.T) {
 	rep, err := RunTail(TailOpts{Scale: 1, Parallel: DefaultParallel(), Nodes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(fleetSpecs()); len(rep.Rows) != want || len(rep.Calibration) != want {
-		t.Fatalf("got %d rows / %d calibrations, want %d", len(rep.Rows), len(rep.Calibration), want)
-	}
-	sum := func(c TailComponents) int64 {
-		return c.QueuePs + c.BootPs + c.WarmRestorePs + c.ServicePs + c.StormRedoPs
-	}
-	for _, r := range rep.Rows {
-		if r.Arrived == 0 || r.Completed == 0 {
-			t.Fatalf("%s: empty cell: %+v", r.Runtime, r)
-		}
-		if r.Evicted == 0 || r.WarmRestores+r.ColdRedos == 0 {
-			t.Fatalf("%s: the storm displaced nothing: %+v", r.Runtime, r)
-		}
-		if len(r.Quantiles) != 3 {
-			t.Fatalf("%s: got %d quantiles, want p50/p99/p999", r.Runtime, len(r.Quantiles))
-		}
-		for _, q := range r.Quantiles {
-			if got := sum(q.Components); got != q.Components.TotalPs {
-				t.Fatalf("%s %s: components sum %d != total %d", r.Runtime, q.Q, got, q.Components.TotalPs)
-			}
-			if q.Components.TotalPs == 0 || q.RequestID == "" {
-				t.Fatalf("%s %s: degenerate quantile %+v", r.Runtime, q.Q, q)
-			}
-		}
-		if r.Quantiles[0].LatencyMs > r.Quantiles[1].LatencyMs ||
-			r.Quantiles[1].LatencyMs > r.Quantiles[2].LatencyMs {
-			t.Fatalf("%s: quantiles not monotone: %+v", r.Runtime, r.Quantiles)
-		}
-		if got := sum(r.Totals); got != r.Totals.TotalPs {
-			t.Fatalf("%s: aggregate components sum %d != total %d", r.Runtime, got, r.Totals.TotalPs)
-		}
-		if r.Totals.Placements < r.Completed {
-			t.Fatalf("%s: %d completions but only %d placements", r.Runtime, r.Completed, r.Totals.Placements)
-		}
-		byID := map[string]TailWaterfall{}
-		for _, wf := range r.Waterfalls {
-			if got := sum(wf.Components); got != wf.Components.TotalPs {
-				t.Fatalf("%s %s: waterfall components sum %d != total %d",
-					r.Runtime, wf.RequestID, got, wf.Components.TotalPs)
-			}
-			if len(wf.Steps) == 0 || wf.Steps[0].Kind != trace.SegArrival ||
-				wf.Steps[len(wf.Steps)-1].Kind != trace.SegComplete {
-				t.Fatalf("%s %s: malformed waterfall steps: %+v", r.Runtime, wf.RequestID, wf.Steps)
-			}
-			byID[wf.RequestID] = wf
-		}
-		for rank := 1; rank <= tailTopK; rank++ {
-			found := false
-			for _, wf := range r.Waterfalls {
-				if wf.Rank == rank {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("%s: no waterfall at slowness rank %d", r.Runtime, rank)
-			}
-		}
-		if len(r.Exemplars) == 0 {
-			t.Fatalf("%s: latency histogram recorded no exemplars", r.Runtime)
-		}
-		for _, e := range r.Exemplars {
-			if _, ok := byID[e.RequestID]; !ok {
-				t.Fatalf("%s: exemplar %s has no waterfall", r.Runtime, e.RequestID)
-			}
-		}
-		// The storm tax is the paired same-seed delta; the storm cell's
-		// far tail must not be cheaper than the calm baseline's.
-		if r.StormTaxP999Ms < 0 {
-			t.Fatalf("%s: negative p999 storm tax: %+v", r.Runtime, r)
-		}
+	if err := rep.Invariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -164,7 +76,7 @@ func TestTailTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer
-	if err := WriteTailTable(rep, &b); err != nil {
+	if err := rep.WriteTable(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -393,8 +392,33 @@ func RunWallclock(opts WallclockOpts) (*WallclockReport, error) {
 
 // WriteWallclockJSON renders the report in the committed artifact's
 // encoding.
-func WriteWallclockJSON(rep *WallclockReport, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+func WriteWallclockJSON(rep *WallclockReport, w io.Writer) error { return writeJSON(w, rep) }
+
+// WriteJSON writes the report in the committed BENCH_wallclock
+// encoding.
+func (rep *WallclockReport) WriteJSON(w io.Writer) error { return writeJSON(w, rep) }
+
+// WriteTable renders the hot-path benchmarks, the flush-vs-capacity
+// curve, and the parallel speedups as tables.
+func (rep *WallclockReport) WriteTable(w io.Writer) error {
+	t := NewTable(fmt.Sprintf("Host cost of the hot paths (%d CPUs, GOMAXPROCS %d)", rep.HostCPUs, rep.GoMaxProcs),
+		"bench", "ns/op", "allocs/op", "B/op")
+	for _, b := range rep.Benches {
+		t.Row(b.Name, fmt.Sprintf("%.1f", b.NsPerOp), fmt.Sprint(b.AllocsPerOp), fmt.Sprint(b.BytesPerOp))
+	}
+	ft := NewTable("TLB flush cost by capacity (must stay flat)", "capacity", "ns/flush")
+	for _, f := range rep.FlushByCapacity {
+		ft.Row(itoa(f.Capacity), fmt.Sprintf("%.1f", f.NsPerFlush))
+	}
+	st := NewTable("Parallel grid speedup", "experiment", "cells", "parallel", "sequential", "parallel", "speedup")
+	for _, s := range rep.Speedups {
+		st.Row(s.Experiment, itoa(s.Cells), itoa(s.Parallel), fmt.Sprintf("%.1fms", s.SequentialMs),
+			fmt.Sprintf("%.1fms", s.ParallelMs), fmt.Sprintf("%.2fx", s.Speedup))
+	}
+	for _, tab := range []*Table{t, ft, st} {
+		if _, err := tab.WriteTo(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }

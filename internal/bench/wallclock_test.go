@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -88,5 +89,15 @@ func TestRunWallclockSmoke(t *testing.T) {
 	}
 	if len(round.Benches) != len(rep.Benches) {
 		t.Errorf("round-trip lost bench entries: %d != %d", len(round.Benches), len(rep.Benches))
+	}
+
+	buf.Reset()
+	if err := rep.WriteTable(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"shootdown/8vcpu", "ns/flush", "speedup"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("wallclock table missing %q:\n%s", want, buf.String())
+		}
 	}
 }
