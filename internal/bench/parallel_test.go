@@ -19,6 +19,15 @@ import (
 // compare the serialized bytes; `go test -race ./internal/bench`
 // additionally races the runner itself.
 
+// TestParallelSMPReportIdentity runs the smp grid on a seed other than
+// the committed one, so the -parallel identity does not rest on
+// BENCH_smp.json alone.
+func TestParallelSMPReportIdentity(t *testing.T) {
+	sameAcrossParallel(t, func(parallel int) (*SMPReport, error) {
+		return RunSMPParallel(1, SMPSeed+1, parallel)
+	})
+}
+
 func TestParallelSMPProfileIdentity(t *testing.T) {
 	get := func(parallel int) (spans, chrome, metrics []byte) {
 		prof, err := RunSMPProfiledParallel(1, SMPSeed, parallel)

@@ -8,6 +8,27 @@ import (
 	"testing"
 )
 
+// TestSMPDeterministic: the whole SMP experiment — five runtimes, four
+// vCPU counts, migrations, shootdowns, closed-loop throughput — replays
+// byte-identically from a seed other than the committed one.
+func TestSMPDeterministic(t *testing.T) {
+	run := func() []byte {
+		rep, err := RunSMP(1, SMPSeed+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b := run(), run()
+	if !bytes.Equal(a, b) {
+		t.Fatalf("smp report not deterministic: runs differ at line %d", firstDiffLine(a, b))
+	}
+}
+
 // TestSMPReportShape: the scaling invariants are not an accident of
 // the committed seed — another seed's grid also shoots down on every
 // multi-vCPU cell — and the table names every runtime.
