@@ -140,7 +140,11 @@ func (s Summary) Render() string {
 		effects = append(effects, e)
 	}
 	sort.Slice(effects, func(i, j int) bool {
-		return s.ByEffect[effects[i]] > s.ByEffect[effects[j]]
+		ci, cj := s.ByEffect[effects[i]], s.ByEffect[effects[j]]
+		if ci != cj {
+			return ci > cj
+		}
+		return effects[i].String() < effects[j].String()
 	})
 	for _, e := range effects {
 		dos := "DoS"

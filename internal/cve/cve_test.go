@@ -70,6 +70,20 @@ func TestRender(t *testing.T) {
 	}
 }
 
+// Effects with equal counts (Kernel Panic and Information Leakage, 6
+// each) are ordered by name, not by map iteration order.
+func TestRenderDeterministic(t *testing.T) {
+	want := Summarize(Dataset()).Render()
+	for i := 0; i < 50; i++ {
+		if got := Summarize(Dataset()).Render(); got != want {
+			t.Fatalf("render %d differs:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+	if il, kp := strings.Index(want, "Information Leakage"), strings.Index(want, "Kernel Panic"); il < 0 || kp < 0 || il > kp {
+		t.Errorf("tied effects not ordered by name:\n%s", want)
+	}
+}
+
 func TestEmptySummary(t *testing.T) {
 	s := Summarize(nil)
 	if s.DoSShare() != 0 || s.Share(UseAfterFree) != 0 {

@@ -28,6 +28,19 @@ type Inode struct {
 // Size returns the file length.
 func (i *Inode) Size() uint64 { return uint64(len(i.Data)) }
 
+// resize sets the file length to n. Growth is amortized (append grows
+// the backing array geometrically), so a run of appends costs linear
+// host time. Every byte between the old and the new length reads as
+// zero, also when growth reuses spare capacity a truncate left behind
+// with stale bytes in it.
+func (i *Inode) resize(n uint64) {
+	if size := uint64(len(i.Data)); n > size {
+		i.Data = append(i.Data, make([]byte, n-size)...)
+		return
+	}
+	i.Data = i.Data[:n]
+}
+
 func newFS(k *Kernel) *FS {
 	return &FS{k: k, files: make(map[string]*Inode), nextIno: 2}
 }
@@ -143,7 +156,9 @@ func (k *Kernel) fileRead(f *File, n int) ([]byte, error) {
 		if end > uint64(len(data)) {
 			end = uint64(len(data))
 		}
-		out := data[f.pos:end]
+		// Capped at end: a caller appending to the result must not
+		// write into the file's following bytes.
+		out := data[f.pos:end:end]
 		f.pos = end
 		k.charge(copyCost(len(out)))
 		k.Stats.BytesRead += uint64(len(out))
@@ -197,10 +212,8 @@ func (k *Kernel) fileWrite(f *File, data []byte) (int, error) {
 			pos = ino.Size()
 		}
 		end := pos + uint64(len(data))
-		if end > uint64(len(ino.Data)) {
-			grown := make([]byte, end)
-			copy(grown, ino.Data)
-			ino.Data = grown
+		if end > ino.Size() {
+			ino.resize(end)
 		}
 		copy(ino.Data[pos:end], data)
 		f.pos = end

@@ -15,7 +15,7 @@ import (
 // runs the full runtime flows. RunC keeps the focus on kernel logic;
 // backends_test.go re-runs cross-cutting scenarios on all runtimes.
 
-func runc(t *testing.T) *backends.Container {
+func runc(t testing.TB) *backends.Container {
 	t.Helper()
 	c, err := backends.New(backends.RunC, backends.Options{})
 	if err != nil {
@@ -108,6 +108,53 @@ func TestPreadPwriteFtruncate(t *testing.T) {
 	got, _ = k.Pread(fd, 4, 4)
 	if !bytes.Equal(got, make([]byte, 4)) {
 		t.Errorf("extended region = %v, want zeros", got)
+	}
+}
+
+// A truncate leaves the old bytes in the file's spare capacity; a later
+// write past EOF must read back zeros in the gap, not those bytes.
+func TestTruncateThenWriteZeroFills(t *testing.T) {
+	c := runc(t)
+	k := c.K
+	fd, err := k.Open("/f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Pwrite(fd, []byte("abcdef"), 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Ftruncate(fd, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Pwrite(fd, []byte("z"), 9); err != nil {
+		t.Fatal(err)
+	}
+	got, err := k.Pread(fd, 6, 4)
+	if want := []byte{0, 0, 0, 0, 0, 'z'}; err != nil || !bytes.Equal(got, want) {
+		t.Errorf("Pread(4..9) = %q, %v; want %q", got, err, want)
+	}
+}
+
+// Appending to a read result must copy, not write through into the
+// bytes that follow it in the file.
+func TestReadResultCapped(t *testing.T) {
+	c := runc(t)
+	k := c.K
+	fd, err := k.Open("/f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Write(fd, []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := k.Pread(fd, 3, 2)
+	if err != nil || string(got) != "234" {
+		t.Fatalf("Pread = %q, %v", got, err)
+	}
+	_ = append(got, "XYZ"...)
+	all, err := k.Pread(fd, 10, 0)
+	if err != nil || string(all) != "0123456789" {
+		t.Errorf("file after appending to a read result = %q, %v; want %q", all, err, "0123456789")
 	}
 }
 

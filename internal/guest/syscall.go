@@ -265,13 +265,7 @@ func (k *Kernel) Ftruncate(fd int, size uint64) error {
 		if f.kind != kindRegular {
 			return 0, EINVAL
 		}
-		if size <= uint64(len(f.inode.Data)) {
-			f.inode.Data = f.inode.Data[:size]
-		} else {
-			grown := make([]byte, size)
-			copy(grown, f.inode.Data)
-			f.inode.Data = grown
-		}
+		f.inode.resize(size)
 		return 0, nil
 	})
 	return err
