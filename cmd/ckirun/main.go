@@ -107,7 +107,7 @@ func main() {
 		}
 		snap, rerr := snapshot.Decode(blob)
 		if rerr != nil {
-			fmt.Fprintf(os.Stderr, "ckirun: restore %s: %v\n", *restoreIn, rerr)
+			fmt.Fprintf(os.Stderr, "ckirun: restore snapshot %s: %v\n", *restoreIn, rerr)
 			os.Exit(1)
 		}
 		m, rerr := backends.NewMachine(snap.Config.HostFrames, snap.Config.TLBEntries)

@@ -385,6 +385,10 @@ type Recorder struct {
 	events  []Event
 	tlbSeen map[*tlb.TLB]bool
 
+	// hdr caches the encoded log header for hdrMeta, so a warm
+	// EncodeTo never calls json.Marshal.
+	hdr     []byte
+	hdrMeta Meta
 	// encBuf is the reused per-recorder record-encoding buffer;
 	// EncodeTo streams every event through it so encoding a record
 	// allocates nothing.

@@ -19,6 +19,8 @@ package audit
 // walk identically, which they do because both walks are driven by the
 // same sorted logical state.
 
+import "repro/internal/wire"
+
 // Canon accumulates a canonical machine description into an FNV-64a
 // sum with first-appearance PFN renaming.
 type Canon struct {
@@ -28,21 +30,10 @@ type Canon struct {
 
 // NewCanon returns an empty accumulator.
 func NewCanon() *Canon {
-	return &Canon{h: fnvOffset, rename: make(map[uint64]uint64)}
+	return &Canon{h: wire.Offset64, rename: make(map[uint64]uint64)}
 }
 
-const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
-)
-
-func (c *Canon) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		c.h ^= v & 0xff
-		c.h *= fnvPrime
-		v >>= 8
-	}
-}
+func (c *Canon) word(v uint64) { c.h = wire.Fold(c.h, v) }
 
 // pfn renames a physical frame to its first-appearance ordinal.
 func (c *Canon) pfn(p uint64) uint64 {

@@ -2,7 +2,6 @@ package audit
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 
@@ -11,6 +10,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pagetable"
 	"repro/internal/tlb"
+	"repro/internal/wire"
 )
 
 // The time-travel inspector: machine state at any virtual timestamp is
@@ -273,15 +273,11 @@ func (s *State) Dump() string {
 	}
 	sort.Slice(pfns, func(i, j int) bool { return pfns[i] < pfns[j] })
 	for _, pfn := range pfns {
-		h := fnv.New64a()
+		h := wire.Offset64
 		for _, w := range s.frames[pfn] {
-			var wb [8]byte
-			for i := 0; i < 8; i++ {
-				wb[i] = byte(w >> (8 * i))
-			}
-			h.Write(wb[:])
+			h = wire.Fold(h, w)
 		}
-		fmt.Fprintf(&b, "ptp %#x hash=%016x\n", pfn, h.Sum64())
+		fmt.Fprintf(&b, "ptp %#x hash=%016x\n", pfn, h)
 	}
 	for _, id := range s.tlbIDs() {
 		slots := s.tlbs[id].Entries()
@@ -303,9 +299,7 @@ func (s *State) Dump() string {
 
 // Fingerprint is a stable hash of Dump, for state-equality assertions.
 func (s *State) Fingerprint() string {
-	h := fnv.New64a()
-	h.Write([]byte(s.Dump()))
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", wire.FNV64a(s.Dump()))
 }
 
 func (s *State) tlbIDs() []int {

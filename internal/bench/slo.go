@@ -14,6 +14,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // The slo experiment: live telemetry over a fleet under an eviction
@@ -221,7 +222,7 @@ func bundleDigest(b *telemetry.Bundle) (SLOBundleDigest, error) {
 	return SLOBundleDigest{
 		Reason: b.Reason, AtNs: b.AtNs,
 		Series: len(b.Series), Spans: len(b.Spans), Events: len(b.Events),
-		FNV: telemetry.FNV64a(data),
+		FNV: wire.FNV64a(data),
 	}, nil
 }
 

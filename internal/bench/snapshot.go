@@ -11,6 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/snapshot"
+	"repro/internal/wire"
 )
 
 // The snapshot experiment: checkpoint/restore and live migration across
@@ -212,7 +213,7 @@ func snapshotCell(kind backends.Kind, opts backends.Options, scale, interval int
 	blob := snapshot.Encode(snap)
 	row.CheckpointB = len(blob)
 	row.ResidentPages = snap.Image.ResidentPages()
-	row.BlobFNV = fmt.Sprintf("%#016x", blobFNV(blob))
+	row.BlobFNV = fmt.Sprintf("%#016x", wire.FNV64a(blob))
 	row.CheckpointNs = float64(ckpt) / float64(clock.Nanosecond)
 	row.Checkpoint = ckpt.String()
 
@@ -389,15 +390,4 @@ func (rep *SnapshotReport) Invariants() error {
 		return errors.New("snapshot: no CKI checkpoint image (-snap-out)")
 	}
 	return nil
-}
-
-// blobFNV hashes a checkpoint image with FNV-64a — the same family the
-// CKISNAP1 trailer and the audit fingerprinter use.
-func blobFNV(data []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= 0x100000001b3
-	}
-	return h
 }

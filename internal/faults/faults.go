@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // Site names one fault-injection point. Sites are stable strings so
@@ -243,12 +245,4 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-func siteHash(s Site) uint64 {
-	// FNV-1a, inlined to keep the package dependency-free.
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
-}
+func siteHash(s Site) uint64 { return wire.FNV64a(string(s)) }

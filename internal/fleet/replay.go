@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mmu"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // The data plane: per-node machine replay. The control-plane DES
@@ -106,16 +107,6 @@ func replayRequest(k *guest.Kernel) error {
 	}
 	k.Compute(clock.FromNanos(800))
 	return nil
-}
-
-// fnv64a hashes a byte slice (per-node artifact fingerprints).
-func fnv64a(data []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= 0x100000001b3
-	}
-	return h
 }
 
 // NewMachineNode boots a node: a shared machine with w.Containers
@@ -296,6 +287,6 @@ func ReplayNodeHooked(w NodeWork, kind backends.Kind, opts backends.Options, hoo
 	if err != nil {
 		return nil, err
 	}
-	art.MetricsFNV = fnv64a(snap)
+	art.MetricsFNV = wire.FNV64a(snap)
 	return art, nil
 }

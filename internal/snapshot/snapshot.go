@@ -13,33 +13,34 @@
 // reconstructed through the mediated PTE path and re-verified against
 // Fingerprint.
 //
-// The format is deliberately hostile-input-safe: a fixed magic, a
-// trailing FNV-64a checksum over everything before it, bounds-checked
-// field reads, and allocation sizes capped by the input length.
-// Truncated, torn-write and bit-flipped images are rejected with an
-// error; Decode never panics and never allocates more than a small
-// multiple of len(data).
+// The format is deliberately hostile-input-safe: it is an internal/wire
+// sealed frame (fixed magic, trailing FNV-64a checksum, bounds-checked
+// field reads), and element counts are capped by the input length.
+// Truncated, torn-write and bit-flipped images are rejected with a
+// *wire.Error naming the offset; Decode never panics and never
+// allocates more than a small multiple of len(data).
 package snapshot
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/clock"
 	"repro/internal/guest"
+	"repro/internal/wire"
 )
 
 // Magic identifies a CKISNAP1 image (the version is part of the magic;
 // an incompatible future layout bumps it to CKISNAP2).
 const Magic = "CKISNAP1"
 
-// Decode errors.
+// Decode errors: every Decode failure is a *wire.Error naming the
+// offset, and unwraps to one of these.
 var (
-	ErrMagic    = errors.New("snapshot: not a CKISNAP1 image")
-	ErrChecksum = errors.New("snapshot: checksum mismatch (torn write or corruption)")
-	ErrTrunc    = errors.New("snapshot: truncated payload")
-	ErrTrailing = errors.New("snapshot: trailing bytes after payload")
-	ErrEncoding = errors.New("snapshot: malformed field encoding")
+	ErrMagic    = wire.ErrMagic
+	ErrChecksum = wire.ErrChecksum
+	ErrTrunc    = wire.ErrTrunc
+	ErrTrailing = wire.ErrTrailing
+	ErrEncoding = wire.ErrEncoding
 )
 
 // TLBSlotImage is one cached user-range translation. Only the tag is
@@ -92,42 +93,6 @@ type Snapshot struct {
 	VCPUs       []VCPUImage
 }
 
-// fnv64a hashes data with FNV-64a (matching the audit fingerprinter's
-// choice, so the whole repo uses one checksum family).
-func fnv64a(data []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= 0x100000001b3
-	}
-	return h
-}
-
-// --- encoding ----------------------------------------------------------
-
-type writer struct{ buf []byte }
-
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u16(v uint16) { w.buf = append(w.buf, byte(v), byte(v>>8)) }
-func (w *writer) u32(v uint32) { w.buf = append(w.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-func (w *writer) u64(v uint64) {
-	w.buf = append(w.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-func (w *writer) i64(v int64) { w.u64(uint64(v)) }
-func (w *writer) boolean(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *writer) bytes(v []byte) {
-	w.u32(uint32(len(v)))
-	w.buf = append(w.buf, v...)
-}
-func (w *writer) str(v string) { w.bytes([]byte(v)) }
-
 // Encode serializes the snapshot: magic, payload, trailing checksum.
 // Encoding is deterministic — the same Snapshot always yields the same
 // bytes — because every slice in guest.Image is sorted by construction.
@@ -141,336 +106,206 @@ func Encode(s *Snapshot) []byte {
 // encodes the same template image once per fork generation, and a
 // wallclock gate pins the zero-alloc property.
 func EncodeTo(s *Snapshot, buf []byte) []byte {
-	start := len(buf)
-	w := &writer{buf: buf}
-	w.buf = append(w.buf, Magic...)
-
+	w := wire.NewWriter(buf, Magic)
 	c := &s.Config
-	w.u8(c.Kind)
-	w.str(c.Runtime)
-	w.boolean(c.Nested)
-	w.i64(int64(c.NumVCPU))
-	w.i64(int64(c.HostFrames))
-	w.i64(int64(c.GuestFrames))
-	w.i64(int64(c.SegmentFrames))
-	w.i64(int64(c.TLBEntries))
-	w.boolean(c.EPTHugePages)
-	w.boolean(c.WoOPT2)
-	w.boolean(c.WoOPT3)
-	w.boolean(c.EmulatePVMSyscall)
-	w.boolean(c.HardenKSMGate)
-	w.boolean(c.DesignPKU)
-	w.i64(int64(s.ContainerID))
-	w.u64(s.Fingerprint)
+	w.U8(c.Kind)
+	w.Str32(c.Runtime)
+	w.Bool(c.Nested)
+	w.U64(uint64(c.NumVCPU))
+	w.U64(uint64(c.HostFrames))
+	w.U64(uint64(c.GuestFrames))
+	w.U64(uint64(c.SegmentFrames))
+	w.U64(uint64(c.TLBEntries))
+	w.Bool(c.EPTHugePages)
+	w.Bool(c.WoOPT2)
+	w.Bool(c.WoOPT3)
+	w.Bool(c.EmulatePVMSyscall)
+	w.Bool(c.HardenKSMGate)
+	w.Bool(c.DesignPKU)
+	w.U64(uint64(s.ContainerID))
+	w.U64(s.Fingerprint)
 
 	img := &s.Image
-	w.i64(int64(img.ContainerID))
-	w.i64(int64(img.NextPID))
-	w.i64(int64(img.NextASID))
-	w.u64(img.NextIno)
-	w.i64(int64(img.CurPID))
-	w.i64(int64(img.Timeslice))
-	w.u32(uint32(len(img.RunQueue)))
+	w.U64(uint64(img.ContainerID))
+	w.U64(uint64(img.NextPID))
+	w.U64(uint64(img.NextASID))
+	w.U64(img.NextIno)
+	w.U64(uint64(img.CurPID))
+	w.U64(uint64(img.Timeslice))
+	w.U32(uint32(len(img.RunQueue)))
 	for _, pid := range img.RunQueue {
-		w.i64(int64(pid))
+		w.U64(uint64(pid))
 	}
-	w.u32(uint32(len(img.Files)))
+	w.U32(uint32(len(img.Files)))
 	for i := range img.Files {
 		f := &img.Files[i]
-		w.str(f.Path)
-		w.u64(f.Ino)
-		w.boolean(f.Dir)
-		w.boolean(f.Dirty)
-		w.bytes(f.Data)
+		w.Str32(f.Path)
+		w.U64(f.Ino)
+		w.Bool(f.Dir)
+		w.Bool(f.Dirty)
+		w.Bytes32(f.Data)
 	}
-	w.u32(uint32(len(img.Procs)))
+	w.U32(uint32(len(img.Procs)))
 	for i := range img.Procs {
 		p := &img.Procs[i]
-		w.i64(int64(p.PID))
-		w.i64(int64(p.Parent))
-		w.i64(int64(p.Affinity))
-		w.boolean(p.Exited)
-		w.i64(int64(p.ExitCode))
-		w.u16(p.PCID)
-		w.u64(p.Brk)
-		w.i64(int64(p.NextFD))
-		w.u64(p.MmapCursor)
-		w.i64(int64(p.HeapVMA))
-		w.u32(uint32(len(p.FDs)))
+		w.U64(uint64(p.PID))
+		w.U64(uint64(p.Parent))
+		w.U64(uint64(p.Affinity))
+		w.Bool(p.Exited)
+		w.U64(uint64(p.ExitCode))
+		w.U16(p.PCID)
+		w.U64(p.Brk)
+		w.U64(uint64(p.NextFD))
+		w.U64(p.MmapCursor)
+		w.U64(uint64(p.HeapVMA))
+		w.U32(uint32(len(p.FDs)))
 		for _, fd := range p.FDs {
-			w.i64(int64(fd.FD))
-			w.str(fd.Path)
-			w.u64(fd.Pos)
-			w.boolean(fd.Append)
+			w.U64(uint64(fd.FD))
+			w.Str32(fd.Path)
+			w.U64(fd.Pos)
+			w.Bool(fd.Append)
 		}
-		w.u32(uint32(len(p.VMAs)))
+		w.U32(uint32(len(p.VMAs)))
 		for _, v := range p.VMAs {
-			w.u64(v.Start)
-			w.u64(v.End)
-			w.i64(int64(v.Prot))
-			w.boolean(v.HasFile)
-			w.str(v.Path)
-			w.u64(v.Off)
-			w.boolean(v.Huge)
+			w.U64(v.Start)
+			w.U64(v.End)
+			w.U64(uint64(v.Prot))
+			w.Bool(v.HasFile)
+			w.Str32(v.Path)
+			w.U64(v.Off)
+			w.Bool(v.Huge)
 		}
-		w.u32(uint32(len(p.Resident)))
+		w.U32(uint32(len(p.Resident)))
 		for _, pg := range p.Resident {
-			w.u64(pg.VA)
-			w.boolean(pg.Accessed)
-			w.boolean(pg.Dirty)
+			w.U64(pg.VA)
+			w.Bool(pg.Accessed)
+			w.Bool(pg.Dirty)
 		}
 	}
-	w.u32(uint32(len(s.VCPUs)))
+	w.U32(uint32(len(s.VCPUs)))
 	for i := range s.VCPUs {
 		v := &s.VCPUs[i]
-		w.i64(int64(v.ID))
-		w.u16(v.PCID)
-		w.boolean(v.KernelMode)
-		w.u32(v.PKRU)
-		w.u32(uint32(len(v.TLB)))
+		w.U64(uint64(v.ID))
+		w.U16(v.PCID)
+		w.Bool(v.KernelMode)
+		w.U32(v.PKRU)
+		w.U32(uint32(len(v.TLB)))
 		for _, t := range v.TLB {
-			w.u16(t.PCID)
-			w.u64(t.VA)
+			w.U16(t.PCID)
+			w.U64(t.VA)
 		}
 	}
-
-	w.u64(fnv64a(w.buf[start:]))
-	return w.buf
-}
-
-// --- decoding ----------------------------------------------------------
-
-type reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = ErrTrunc
-	}
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil || n < 0 || len(r.data)-r.off < n {
-		r.fail()
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return uint16(b[0]) | uint16(b[1])<<8
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-func (r *reader) i64() int64 { return int64(r.u64()) }
-
-// boolean is strict: only 0 and 1 are valid, so every accepted blob is
-// in canonical form (decode → encode is the identity, a property the
-// fuzz target leans on).
-func (r *reader) boolean() bool {
-	switch r.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		if r.err == nil {
-			r.err = ErrEncoding
-		}
-		return false
-	}
-}
-
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-func (r *reader) str() string { return string(r.bytes()) }
-
-// count reads a slice length and rejects values no well-formed payload
-// could carry: each element occupies at least minSize bytes, so the
-// count is capped by the bytes remaining. This is the over-allocation
-// guard — a hostile length field cannot make Decode allocate beyond a
-// small multiple of the input size.
-func (r *reader) count(minSize int) int {
-	n := int(r.u32())
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || n*minSize > len(r.data)-r.off {
-		r.fail()
-		return 0
-	}
-	return n
+	return w.Seal()
 }
 
 // Decode parses and validates a CKISNAP1 image.
 func Decode(data []byte) (*Snapshot, error) {
-	if len(data) < len(Magic)+8 {
-		if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
-			return nil, ErrMagic
-		}
-		return nil, ErrTrunc
+	r, err := wire.NewSealedReader(data, Magic)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:len(Magic)]) != Magic {
-		return nil, ErrMagic
-	}
-	body, sum := data[:len(data)-8], data[len(data)-8:]
-	var want uint64
-	for i := 7; i >= 0; i-- {
-		want = want<<8 | uint64(sum[i])
-	}
-	if fnv64a(body) != want {
-		return nil, ErrChecksum
-	}
-
-	r := &reader{data: body, off: len(Magic)}
 	s := &Snapshot{}
 	c := &s.Config
-	c.Kind = r.u8()
-	c.Runtime = r.str()
-	c.Nested = r.boolean()
-	c.NumVCPU = int(r.i64())
-	c.HostFrames = int(r.i64())
-	c.GuestFrames = int(r.i64())
-	c.SegmentFrames = int(r.i64())
-	c.TLBEntries = int(r.i64())
-	c.EPTHugePages = r.boolean()
-	c.WoOPT2 = r.boolean()
-	c.WoOPT3 = r.boolean()
-	c.EmulatePVMSyscall = r.boolean()
-	c.HardenKSMGate = r.boolean()
-	c.DesignPKU = r.boolean()
-	s.ContainerID = int(r.i64())
-	s.Fingerprint = r.u64()
+	c.Kind = r.U8()
+	c.Runtime = r.Str32()
+	c.Nested = r.Bool()
+	c.NumVCPU = int(r.U64())
+	c.HostFrames = int(r.U64())
+	c.GuestFrames = int(r.U64())
+	c.SegmentFrames = int(r.U64())
+	c.TLBEntries = int(r.U64())
+	c.EPTHugePages = r.Bool()
+	c.WoOPT2 = r.Bool()
+	c.WoOPT3 = r.Bool()
+	c.EmulatePVMSyscall = r.Bool()
+	c.HardenKSMGate = r.Bool()
+	c.DesignPKU = r.Bool()
+	s.ContainerID = int(r.U64())
+	s.Fingerprint = r.U64()
 
 	img := &s.Image
-	img.ContainerID = int(r.i64())
-	img.NextPID = int(r.i64())
-	img.NextASID = int(r.i64())
-	img.NextIno = r.u64()
-	img.CurPID = int(r.i64())
-	img.Timeslice = clock.Time(r.i64())
-	if n := r.count(8); n > 0 {
+	img.ContainerID = int(r.U64())
+	img.NextPID = int(r.U64())
+	img.NextASID = int(r.U64())
+	img.NextIno = r.U64()
+	img.CurPID = int(r.U64())
+	img.Timeslice = clock.Time(r.U64())
+	if n := r.Count(8); n > 0 {
 		img.RunQueue = make([]int, 0, n)
 		for i := 0; i < n; i++ {
-			img.RunQueue = append(img.RunQueue, int(r.i64()))
+			img.RunQueue = append(img.RunQueue, int(r.U64()))
 		}
 	}
-	if n := r.count(14); n > 0 { // path(4) + ino(8) + 2 bools + data(4) minus overlap
+	if n := r.Count(14); n > 0 { // path(4) + ino(8) + 2 bools + data(4) minus overlap
 		img.Files = make([]guest.FileImage, 0, n)
 		for i := 0; i < n; i++ {
 			img.Files = append(img.Files, guest.FileImage{
-				Path: r.str(), Ino: r.u64(), Dir: r.boolean(), Dirty: r.boolean(),
-				Data: r.bytes(),
+				Path: r.Str32(), Ino: r.U64(), Dir: r.Bool(), Dirty: r.Bool(),
+				Data: r.Bytes32(),
 			})
 		}
 	}
-	if n := r.count(70); n > 0 { // fixed proc header size
+	if n := r.Count(70); n > 0 { // fixed proc header size
 		img.Procs = make([]guest.ProcImage, 0, n)
 		for i := 0; i < n; i++ {
 			var p guest.ProcImage
-			p.PID = int(r.i64())
-			p.Parent = int(r.i64())
-			p.Affinity = int(r.i64())
-			p.Exited = r.boolean()
-			p.ExitCode = int(r.i64())
-			p.PCID = r.u16()
-			p.Brk = r.u64()
-			p.NextFD = int(r.i64())
-			p.MmapCursor = r.u64()
-			p.HeapVMA = int(r.i64())
-			if m := r.count(21); m > 0 { // fd(8)+path(4)+pos(8)+append(1)
+			p.PID = int(r.U64())
+			p.Parent = int(r.U64())
+			p.Affinity = int(r.U64())
+			p.Exited = r.Bool()
+			p.ExitCode = int(r.U64())
+			p.PCID = r.U16()
+			p.Brk = r.U64()
+			p.NextFD = int(r.U64())
+			p.MmapCursor = r.U64()
+			p.HeapVMA = int(r.U64())
+			if m := r.Count(21); m > 0 { // fd(8)+path(4)+pos(8)+append(1)
 				p.FDs = make([]guest.FDImage, 0, m)
 				for j := 0; j < m; j++ {
 					p.FDs = append(p.FDs, guest.FDImage{
-						FD: int(r.i64()), Path: r.str(), Pos: r.u64(), Append: r.boolean(),
+						FD: int(r.U64()), Path: r.Str32(), Pos: r.U64(), Append: r.Bool(),
 					})
 				}
 			}
-			if m := r.count(38); m > 0 { // start+end+prot+hasfile+path+off+huge
+			if m := r.Count(38); m > 0 { // start+end+prot+hasfile+path+off+huge
 				p.VMAs = make([]guest.VMAImage, 0, m)
 				for j := 0; j < m; j++ {
 					p.VMAs = append(p.VMAs, guest.VMAImage{
-						Start: r.u64(), End: r.u64(), Prot: guest.Prot(r.i64()),
-						HasFile: r.boolean(), Path: r.str(), Off: r.u64(), Huge: r.boolean(),
+						Start: r.U64(), End: r.U64(), Prot: guest.Prot(r.U64()),
+						HasFile: r.Bool(), Path: r.Str32(), Off: r.U64(), Huge: r.Bool(),
 					})
 				}
 			}
-			if m := r.count(10); m > 0 { // va(8)+2 bools
+			if m := r.Count(10); m > 0 { // va(8)+2 bools
 				p.Resident = make([]guest.PageImage, 0, m)
 				for j := 0; j < m; j++ {
 					p.Resident = append(p.Resident, guest.PageImage{
-						VA: r.u64(), Accessed: r.boolean(), Dirty: r.boolean(),
+						VA: r.U64(), Accessed: r.Bool(), Dirty: r.Bool(),
 					})
 				}
 			}
 			img.Procs = append(img.Procs, p)
 		}
 	}
-	if n := r.count(19); n > 0 { // id(8)+pcid(2)+mode(1)+pkru(4)+tlb len(4)
+	if n := r.Count(19); n > 0 { // id(8)+pcid(2)+mode(1)+pkru(4)+tlb len(4)
 		s.VCPUs = make([]VCPUImage, 0, n)
 		for i := 0; i < n; i++ {
 			var v VCPUImage
-			v.ID = int(r.i64())
-			v.PCID = r.u16()
-			v.KernelMode = r.boolean()
-			v.PKRU = r.u32()
-			if m := r.count(10); m > 0 { // pcid(2)+va(8)
+			v.ID = int(r.U64())
+			v.PCID = r.U16()
+			v.KernelMode = r.Bool()
+			v.PKRU = r.U32()
+			if m := r.Count(10); m > 0 { // pcid(2)+va(8)
 				v.TLB = make([]TLBSlotImage, 0, m)
 				for j := 0; j < m; j++ {
-					v.TLB = append(v.TLB, TLBSlotImage{PCID: r.u16(), VA: r.u64()})
+					v.TLB = append(v.TLB, TLBSlotImage{PCID: r.U16(), VA: r.U64()})
 				}
 			}
 			s.VCPUs = append(s.VCPUs, v)
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(body) {
-		return nil, ErrTrailing
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

@@ -1,12 +1,14 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/clock"
 	"repro/internal/guest"
+	"repro/internal/wire"
 )
 
 // sample builds a representative snapshot touching every field group:
@@ -135,6 +137,39 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(blob); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupt body: %v", err)
 	}
+
+	// Every failure is positioned. In sample(), Config.Nested (a bool)
+	// sits at 8 (magic) + 1 (kind) + 4+6 ("CKI-BM") = 19, and the
+	// run-queue count at 19 + 1 + 5*8 + 6 bools + 2*8 + 6*8 = 130.
+	const nestedOff, runQueueOff = 19, 130
+	good := Encode(sample())
+	sealedEnd := len(good) - 8
+	for _, tc := range []struct {
+		name   string
+		mutate func([]byte) []byte
+		want   error
+		off    int
+	}{
+		{"bad magic", func(b []byte) []byte { b[7] = 'X'; return b }, ErrMagic, 7},
+		{"short header", func(b []byte) []byte { return b[:len(Magic)+3] }, ErrTrunc, len(Magic) + 3},
+		{"torn trailer", func(b []byte) []byte { return b[:len(b)-3] }, ErrChecksum, sealedEnd - 3},
+		{"flipped payload byte", func(b []byte) []byte { b[sealedEnd/2] ^= 0x40; return b }, ErrChecksum, sealedEnd},
+		{"trailing bytes", func(b []byte) []byte {
+			return reseal(append(b[:sealedEnd:sealedEnd], 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+		}, ErrTrailing, sealedEnd},
+		{"truncated field", func(b []byte) []byte { return reseal(append(b[:100:100], make([]byte, 8)...)) }, ErrTrunc, 98},
+		{"forged count", func(b []byte) []byte {
+			b[runQueueOff], b[runQueueOff+1], b[runQueueOff+2], b[runQueueOff+3] = 0xff, 0xff, 0xff, 0x7f
+			return reseal(b)
+		}, ErrTrunc, runQueueOff},
+		{"non-0/1 bool", func(b []byte) []byte { b[nestedOff] = 2; return reseal(b) }, ErrEncoding, nestedOff},
+	} {
+		_, err := Decode(tc.mutate(append([]byte(nil), good...)))
+		var we *wire.Error
+		if !errors.As(err, &we) || !errors.Is(err, tc.want) || we.Off != tc.off {
+			t.Errorf("%s: got %v, want %v at offset %d", tc.name, err, tc.want, tc.off)
+		}
+	}
 }
 
 // TestCountGuard: a forged field claiming an enormous element count
@@ -155,11 +190,9 @@ func TestCountGuard(t *testing.T) {
 
 // reseal rewrites the trailing checksum so decoding exercises the
 // parser, not the integrity check.
-func reseal(blob []byte) {
-	sum := fnv64a(blob[:len(blob)-8])
-	for i := 0; i < 8; i++ {
-		blob[len(blob)-8+i] = byte(sum >> (8 * uint(i)))
-	}
+func reseal(blob []byte) []byte {
+	binary.LittleEndian.PutUint64(blob[len(blob)-8:], wire.FNV64a(blob[:len(blob)-8]))
+	return blob
 }
 
 func TestDescribe(t *testing.T) {

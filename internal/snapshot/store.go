@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/mem"
+	"repro/internal/wire"
 )
 
 // StoreOwner tags master frames in mem ownership space. It is disjoint
@@ -150,14 +151,14 @@ var zeroPageDigest = filePageDigest(nil, 0)
 // past the end of the file — exactly the payload a demand fault would
 // observe.
 func filePageDigest(data []byte, off uint64) uint64 {
-	h := uint64(0xcbf29ce484222325)
+	h := wire.Offset64
 	for i := uint64(0); i < mem.PageSize; i++ {
 		var b byte
 		if idx := off + i; idx < uint64(len(data)) {
 			b = data[idx]
 		}
 		h ^= uint64(b)
-		h *= 0x100000001b3
+		h *= wire.Prime64
 	}
 	return h
 }

@@ -144,8 +144,7 @@ func TestPageDigests(t *testing.T) {
 }
 
 // TestEncodeTo: appending into a caller buffer produces exactly the
-// Encode bytes after the prefix, and reusing a warm buffer allocates
-// nothing.
+// Encode bytes after the prefix.
 func TestEncodeTo(t *testing.T) {
 	s := sample()
 	plain := Encode(s)
@@ -160,6 +159,12 @@ func TestEncodeTo(t *testing.T) {
 	if _, err := Decode(out[len(prefix):]); err != nil {
 		t.Fatalf("EncodeTo payload does not decode: %v", err)
 	}
+}
+
+// TestEncodeToAllocs: reusing a warm buffer allocates nothing.
+func TestEncodeToAllocs(t *testing.T) {
+	s := sample()
+	plain := Encode(s)
 	buf := make([]byte, 0, len(plain)+64)
 	if allocs := testing.AllocsPerRun(50, func() {
 		buf = EncodeTo(s, buf[:0])

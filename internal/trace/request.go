@@ -14,6 +14,7 @@ import (
 	"strconv"
 
 	"repro/internal/clock"
+	"repro/internal/wire"
 )
 
 // RequestID is the stable identity of one open-loop request, minted at
@@ -46,17 +47,7 @@ func ParseRequestID(s string) (RequestID, error) {
 // parallelism) yet distinct streams do not collide on small sequence
 // numbers. Never returns zero.
 func MintRequestID(seed uint64, seq int) RequestID {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range [2]uint64{seed, uint64(int64(seq))} {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime64
-		}
-	}
+	h := wire.Fold(wire.Fold(wire.Offset64, seed), uint64(int64(seq)))
 	if h == 0 {
 		h = 1
 	}
