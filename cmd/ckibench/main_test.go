@@ -109,6 +109,11 @@ func TestValidate(t *testing.T) {
 		{"serverless with arrival-rate", []string{"-exp", "serverless", "-arrival-rate", "1000"}, true},
 		{"serverless with scrape-interval", []string{"-exp", "serverless", "-scrape-interval", "50us"}, true},
 		{"serverless nodes negative", []string{"-exp", "serverless", "-nodes", "-1"}, true},
+		{"nodes zero", []string{"-exp", "tail", "-nodes", "0"}, true},
+		{"arrival-rate zero", []string{"-exp", "fleet", "-arrival-rate", "0"}, true},
+		{"churn-rate zero", []string{"-exp", "serverless", "-churn-rate", "0"}, true},
+		{"scale zero", []string{"-scale", "0"}, true},
+		{"scale negative", []string{"-exp", "fleet", "-scale", "-3"}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,6 +166,8 @@ func TestExitCodes(t *testing.T) {
 		{"json wrong exp", []string{"-exp", "ext-pku", "-json"}, 2, "-json is only supported"},
 		{"fork-mode wrong exp", []string{"-exp", "smp", "-fork-mode", "lazy"}, 2, "-fork-mode requires -exp serverless"},
 		{"churn-rate negative", []string{"-exp", "serverless", "-churn-rate", "-5"}, 2, "-churn-rate must be"},
+		{"nodes zero", []string{"-exp", "tail", "-nodes", "0"}, 2, "-nodes must be >= 1"},
+		{"scale zero", []string{"-scale", "0", "-list"}, 2, "-scale must be >= 1"},
 		{"fork-mode unknown", []string{"-exp", "serverless", "-fork-mode", "warm"}, 2, "-fork-mode must be"},
 		{"sched unknown", []string{"-exp", "fleet", "-sched", "random"}, 2, "unknown scheduler"},
 		{"arrival-rate with trace-file", []string{"-exp", "fleet", "-arrival-rate", "1000", "-trace-file", "r.trace"}, 2, "mutually exclusive"},

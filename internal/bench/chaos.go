@@ -93,16 +93,7 @@ func RunChaos(scale int, seed uint64) (*ChaosSurvival, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := []struct {
-		kind backends.Kind
-		opts backends.Options
-	}{
-		{backends.RunC, backends.Options{}},
-		{backends.HVM, backends.Options{GuestFrames: 1 << 12}},
-		{backends.PVM, backends.Options{GuestFrames: 1 << 12}},
-		{backends.CKI, backends.Options{SegmentFrames: 2048}},
-		{backends.GVisor, backends.Options{}},
-	}
+	specs := runtimeGrid()
 	plans := make([]*faults.Plan, len(specs))
 	for i, s := range specs {
 		c, err := cl.Add(s.kind, s.opts)

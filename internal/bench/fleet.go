@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
@@ -33,13 +34,8 @@ import (
 const FleetSeed = 0xf1ee7
 
 const (
-	// fleetDefaultNodes x fleetSlotsPerNode is the simulated fleet.
+	// fleetDefaultNodes is the simulated fleet's default size.
 	fleetDefaultNodes = 50
-	fleetSlotsPerNode = 4
-	// fleetQueueLimit is the per-node admission bound.
-	fleetQueueLimit = 16
-	// fleetMeanReqs is the mean per-container request demand.
-	fleetMeanReqs = 8
 	// fleetCalibReqs sizes the calibration service-time window.
 	fleetCalibReqs = 16
 	// fleetReplayNodes is how many of the storm cell's nodes the replay
@@ -50,13 +46,17 @@ const (
 	// the bound is part of the experiment definition, so artifacts stay
 	// deterministic.
 	fleetReplayMaxReqs = 512
-	// fleetArrivalsPerCell is the per-scale arrival volume every grid
-	// cell targets (the horizon adjusts to the offered rate). It must
-	// comfortably exceed the fleet's total buffering — nodes x (slots +
-	// queue limit) — or an overload segment drains into queues at the
-	// horizon instead of rejecting.
-	fleetArrivalsPerCell = 6000
 )
+
+// fleetShape sizes the fleet cells. The per-scale arrival volume must
+// comfortably exceed the fleet's total buffering — nodes x (slots +
+// queue limit) — or an overload segment drains into queues at the
+// horizon instead of rejecting.
+var fleetShape = cellShape{
+	slots: 4, queueLimit: 16, meanReqs: 8, arrivals: 6000,
+	evictAt: 2, downFor: 8,
+	stormNodes: func(nodes int) int { return max(nodes/10, 1) },
+}
 
 // fleetLoadPoints are the capacity-curve load multipliers; the two
 // labels after them are the diurnal and eviction-storm segments.
@@ -76,18 +76,10 @@ type FleetRow struct {
 	Sched         string  `json:"sched"`
 	Load          string  `json:"load"`
 	OfferedPerSec float64 `json:"offered_per_sec"`
-	Arrived       int     `json:"arrived"`
-	Completed     int     `json:"completed"`
-	Rejected      int     `json:"rejected"`
-	GoodputPerSec float64 `json:"goodput_per_sec"`
-	MeanMs        float64 `json:"mean_ms"`
-	P50Ms         float64 `json:"p50_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	P999Ms        float64 `json:"p999_ms"`
-	MaxQueue      int     `json:"max_queue"`
-	Evicted       int     `json:"evicted,omitempty"`
-	WarmRestores  int     `json:"warm_restores,omitempty"`
-	ColdRedos     int     `json:"cold_redos,omitempty"`
+	LatencyRow
+	Evicted      int `json:"evicted,omitempty"`
+	WarmRestores int `json:"warm_restores,omitempty"`
+	ColdRedos    int `json:"cold_redos,omitempty"`
 }
 
 // FleetReport is the whole experiment (the committed BENCH_fleet
@@ -144,25 +136,6 @@ type FleetOpts struct {
 	TraceRequests bool
 }
 
-// fleetSpecs is the runtime axis: every runtime, sized for many small
-// co-resident containers (the replay stage shares one machine per
-// node).
-func fleetSpecs() []struct {
-	kind backends.Kind
-	opts backends.Options
-} {
-	return []struct {
-		kind backends.Kind
-		opts backends.Options
-	}{
-		{backends.RunC, backends.Options{}},
-		{backends.HVM, backends.Options{GuestFrames: 1 << 12}},
-		{backends.PVM, backends.Options{GuestFrames: 1 << 12}},
-		{backends.CKI, backends.Options{SegmentFrames: 1 << 11}},
-		{backends.GVisor, backends.Options{}},
-	}
-}
-
 // fleetCalibrate measures one runtime's cost model on a real machine:
 // the boot is the virtual time New charges, the service time averages
 // fleetCalibReqs requests after warmup, and the warm-restore cost is a
@@ -214,13 +187,6 @@ type fleetSegment struct {
 	storm bool
 }
 
-// fleetHorizon sizes a segment so it carries ~fleetArrivalsPerCell
-// arrivals per scale unit at the given rate.
-func fleetHorizon(scale int, rate float64) clock.Time {
-	n := float64(fleetArrivalsPerCell * scale)
-	return clock.Time(n / rate * float64(clock.Second))
-}
-
 // fleetSegments builds the load axis for one runtime's capacity
 // (arrivals/sec at which the fleet is nominally saturated).
 func fleetSegments(o FleetOpts, capacity float64) ([]fleetSegment, error) {
@@ -253,7 +219,7 @@ func fleetSegments(o FleetOpts, capacity float64) ([]fleetSegment, error) {
 	}
 	if o.ArrivalRate > 0 {
 		rate := o.ArrivalRate
-		h := fleetHorizon(o.Scale, rate)
+		h := fleetShape.horizon(o.Scale, rate)
 		return []fleetSegment{{
 			label: "custom", offered: rate,
 			build: func(seed uint64) ([]des.Arrival, clock.Time) {
@@ -264,7 +230,7 @@ func fleetSegments(o FleetOpts, capacity float64) ([]fleetSegment, error) {
 	var out []fleetSegment
 	for _, mult := range fleetLoadPoints {
 		rate := mult * capacity
-		h := fleetHorizon(o.Scale, rate)
+		h := fleetShape.horizon(o.Scale, rate)
 		out = append(out, fleetSegment{
 			label: fmt.Sprintf("%.2fx", mult), offered: rate,
 			build: func(seed uint64) ([]des.Arrival, clock.Time) {
@@ -273,7 +239,7 @@ func fleetSegments(o FleetOpts, capacity float64) ([]fleetSegment, error) {
 		})
 	}
 	// Bursty diurnal trace: trough at 0.4x, peak near 1.4x capacity.
-	dh := fleetHorizon(o.Scale, 0.9*capacity)
+	dh := fleetShape.horizon(o.Scale, 0.9*capacity)
 	base := 0.4 * capacity
 	out = append(out, fleetSegment{
 		label: "diurnal", offered: 0.9 * capacity,
@@ -287,7 +253,7 @@ func fleetSegments(o FleetOpts, capacity float64) ([]fleetSegment, error) {
 		},
 	})
 	// Eviction storm at steady 0.8x load.
-	sh := fleetHorizon(o.Scale, 0.8*capacity)
+	sh := fleetShape.horizon(o.Scale, 0.8*capacity)
 	srate := 0.8 * capacity
 	out = append(out, fleetSegment{
 		label: "storm", offered: srate, storm: true,
@@ -322,25 +288,13 @@ func fleetSchedulers(name string) ([]fleet.Scheduler, error) {
 // cell. The arrival and demand seeds derive from (runtime, segment)
 // only — both schedulers see the identical offered stream, so their
 // rows are directly comparable.
-func fleetCellConfig(o FleetOpts, nodes int, costs fleet.RuntimeCosts,
+func fleetCellConfig(nodes int, costs fleet.RuntimeCosts,
 	ri, si int, seg fleetSegment, sched fleet.Scheduler) fleet.Config {
 	seed := faults.Child(FleetSeed, ri*64+si)
 	arrivals, horizon := seg.build(seed)
-	cfg := fleet.Config{
-		Nodes: nodes, SlotsPerNode: fleetSlotsPerNode, QueueLimit: fleetQueueLimit,
-		Costs: costs, MeanReqs: fleetMeanReqs,
-		Arrivals: arrivals, Horizon: horizon,
-		Seed: seed, Sched: sched,
-	}
+	cfg := fleetShape.config(nodes, costs, sched, seed, arrivals, horizon)
 	if seg.storm {
-		lifetime := costs.Boot + clock.Time(fleetMeanReqs)*costs.Service
-		cfg.SnapshotAge = lifetime / 4
-		cfg.EvictAt = horizon / 2
-		cfg.EvictNodes = nodes / 10
-		if cfg.EvictNodes < 1 {
-			cfg.EvictNodes = 1
-		}
-		cfg.DownFor = horizon / 8
+		fleetShape.storm(&cfg)
 	}
 	return cfg
 }
@@ -348,53 +302,28 @@ func fleetCellConfig(o FleetOpts, nodes int, costs fleet.RuntimeCosts,
 // RunFleet executes the fleet experiment. Deterministic: the same
 // opts produce the same report, byte for byte, for any Parallel.
 func RunFleet(o FleetOpts) (*FleetReport, error) {
-	if o.Scale < 1 {
-		o.Scale = 1
-	}
-	if o.Parallel < 1 {
-		o.Parallel = 1
-	}
-	nodes := o.Nodes
-	if nodes == 0 {
-		nodes = fleetDefaultNodes
-	}
+	o.Scale, o.Parallel = max(o.Scale, 1), max(o.Parallel, 1)
+	nodes := cmp.Or(o.Nodes, fleetDefaultNodes)
 	scheds, err := fleetSchedulers(o.Sched)
 	if err != nil {
 		return nil, err
 	}
-	specs := fleetSpecs()
+	specs := runtimeGrid()
 
 	// Stage 1 — calibration: one real container per runtime, cells
 	// fanned out across host cores.
-	costs := make([]fleet.RuntimeCosts, len(specs))
-	names := make([]string, len(specs))
-	err = RunIndexed(o.Parallel, len(specs), func(i int) error {
-		c, name, err := fleetCalibrate(specs[i].kind, specs[i].opts)
-		if err != nil {
-			return fmt.Errorf("fleet: calibrate %v: %w", specs[i].kind, err)
-		}
-		costs[i], names[i] = c, name
-		return nil
-	})
+	costs, names, cal, err := calibrateGrid("fleet", o.Parallel, specs)
 	if err != nil {
 		return nil, err
 	}
 
 	rep := &FleetReport{
 		Seed: FleetSeed, Scale: o.Scale, Nodes: nodes,
-		SlotsPerNode: fleetSlotsPerNode, QueueLimit: fleetQueueLimit,
-		MeanReqs: fleetMeanReqs,
+		SlotsPerNode: fleetShape.slots, QueueLimit: fleetShape.queueLimit,
+		MeanReqs: fleetShape.meanReqs, Calibration: cal,
 	}
 	for _, s := range scheds {
 		rep.Schedulers = append(rep.Schedulers, s.Name())
-	}
-	for i := range specs {
-		rep.Calibration = append(rep.Calibration, FleetCalibration{
-			Runtime:       names[i],
-			BootNs:        float64(costs[i].Boot) / float64(clock.Nanosecond),
-			ServiceNs:     float64(costs[i].Service) / float64(clock.Nanosecond),
-			WarmRestoreNs: float64(costs[i].WarmRestore) / float64(clock.Nanosecond),
-		})
 	}
 
 	// Stage 2 — the control-plane grid plus the replay cells, all
@@ -404,9 +333,7 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 	// node ni of it on a real machine.
 	segsPerRT := make([][]fleetSegment, len(specs))
 	for ri := range specs {
-		lifetime := costs[ri].Boot + clock.Time(fleetMeanReqs)*costs[ri].Service
-		capacity := float64(nodes*fleetSlotsPerNode) / lifetime.Seconds()
-		segs, err := fleetSegments(o, capacity)
+		segs, err := fleetSegments(o, fleetShape.capacity(nodes, costs[ri]))
 		if err != nil {
 			return nil, err
 		}
@@ -436,7 +363,7 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 			si := ci / len(scheds) % nSegs
 			sj := ci % len(scheds)
 			seg := segsPerRT[ri][si]
-			cfg := fleetCellConfig(o, nodes, costs[ri], ri, si, seg, scheds[sj])
+			cfg := fleetCellConfig(nodes, costs[ri], ri, si, seg, scheds[sj])
 			if o.ScrapeInterval > 0 {
 				store := telemetry.NewStore(o.ScrapeInterval, 0)
 				cfg.Observe = telemetry.NewFleetProbe(metrics.NewRegistry(), store, nil,
@@ -454,17 +381,10 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 			if err != nil {
 				return fmt.Errorf("fleet: %s/%s/%s: %w", names[ri], scheds[sj].Name(), seg.label, err)
 			}
-			ms := func(t clock.Time) float64 { return float64(t) / float64(clock.Millisecond) }
 			rows[ci] = FleetRow{
 				Runtime: names[ri], Sched: scheds[sj].Name(), Load: seg.label,
 				OfferedPerSec: seg.offered,
-				Arrived:       res.Arrived, Completed: res.Completed, Rejected: res.Rejected,
-				GoodputPerSec: res.Goodput(cfg.Horizon),
-				MeanMs:        ms(res.MeanLatency()),
-				P50Ms:         ms(res.Quantile(0.5)),
-				P99Ms:         ms(res.Quantile(0.99)),
-				P999Ms:        ms(res.Quantile(0.999)),
-				MaxQueue:      res.MaxQueue,
+				LatencyRow:    latencyRow(res, cfg.Horizon),
 				Evicted:       res.Evicted,
 				WarmRestores:  res.WarmRestores,
 				ColdRedos:     res.ColdRedos,
@@ -474,27 +394,15 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 		ri := (ci - nGrid) / fleetReplayNodes
 		ni := (ci - nGrid) % fleetReplayNodes
 		seg := segsPerRT[ri][replaySeg]
-		cfg := fleetCellConfig(o, nodes, costs[ri], ri, replaySeg, seg, replaySched)
+		cfg := fleetCellConfig(nodes, costs[ri], ri, replaySeg, seg, replaySched)
 		res, err := fleet.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("fleet: replay control %s: %w", names[ri], err)
 		}
-		stat := res.Nodes[ni]
-		reqs := stat.Requests
-		if reqs > fleetReplayMaxReqs {
-			reqs = fleetReplayMaxReqs
-		}
-		w := fleet.NodeWork{
-			Node:       stat.Node,
-			Containers: fleetSlotsPerNode,
-			Requests:   reqs,
-		}
-		if stat.Crashed {
-			w.Crashes = 2
-		}
+		w := replayWork(res.Nodes[ni], fleetShape.slots, fleetReplayMaxReqs)
 		art, err := fleet.ReplayNode(w, specs[ri].kind, specs[ri].opts)
 		if err != nil {
-			return fmt.Errorf("fleet: replay %s node %d: %w", names[ri], stat.Node, err)
+			return fmt.Errorf("fleet: replay %s node %d: %w", names[ri], w.Node, err)
 		}
 		arts[ci-nGrid] = *art
 		return nil
@@ -567,10 +475,10 @@ func (rep *FleetReport) Invariants() error {
 	for _, r := range rep.Rows {
 		cells[r.Runtime+"/"+r.Sched+"/"+r.Load] = true
 	}
-	want := len(fleetSpecs()) * len(rep.Schedulers) * (len(fleetLoadPoints) + 2) // + diurnal + storm
-	if len(rep.Calibration) != len(fleetSpecs()) || len(rep.Rows) != want || len(cells) != want {
+	want := len(runtimeGrid()) * len(rep.Schedulers) * (len(fleetLoadPoints) + 2) // + diurnal + storm
+	if len(rep.Calibration) != len(runtimeGrid()) || len(rep.Rows) != want || len(cells) != want {
 		return fmt.Errorf("fleet: %d calibrations and %d rows over %d cells, want %d and %d",
-			len(rep.Calibration), len(rep.Rows), len(cells), len(fleetSpecs()), want)
+			len(rep.Calibration), len(rep.Rows), len(cells), len(runtimeGrid()), want)
 	}
 	for _, c := range rep.Calibration {
 		if c.Runtime == "" || c.BootNs < 0 || c.ServiceNs <= 0 || c.WarmRestoreNs <= 0 {
@@ -596,7 +504,7 @@ func (rep *FleetReport) Invariants() error {
 	if !overloadRejects || !warm {
 		return fmt.Errorf("fleet: %s rejects %v, storm restores warm %v; want both", overload, overloadRejects, warm)
 	}
-	if want := len(fleetSpecs()) * fleetReplayNodes; len(rep.Replay) != want {
+	if want := len(runtimeGrid()) * fleetReplayNodes; len(rep.Replay) != want {
 		return fmt.Errorf("fleet: %d replay digests, want %d", len(rep.Replay), want)
 	}
 	for _, a := range rep.Replay {

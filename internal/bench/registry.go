@@ -416,8 +416,11 @@ func (a *Args) Register(fs *flag.FlagSet) {
 // Check returns the usage error, if any, of running e (the zero
 // Experiment: every experiment) with a, where set names the flags given
 // on the command line. A set flag that e does not own is an error; so
-// are the values no run could honour.
+// are the values no run could honour. An unset -nodes, -arrival-rate or
+// -churn-rate is zero and means the experiment's default; set, it must
+// be positive.
 func (a Args) Check(e Experiment, set []string) error {
+	isSet := func(name string) bool { return slices.Contains(set, name) }
 	for _, name := range set {
 		if ids := owners(name); len(ids) > 0 && !slices.Contains(e.Flags, name) {
 			return fmt.Errorf("-%s requires -exp %s", name, orList(ids))
@@ -427,6 +430,8 @@ func (a Args) Check(e Experiment, set []string) error {
 		return fmt.Errorf("-json is only supported with -exp %s", orList(jsonIDs()))
 	}
 	switch {
+	case a.Scale < 1:
+		return errors.New("-scale must be >= 1")
 	case a.Parallel < 1:
 		return errors.New("-parallel must be >= 1")
 	case a.Seeds < 1:
@@ -435,9 +440,9 @@ func (a Args) Check(e Experiment, set []string) error {
 		return errors.New("-seeds requires -exp chaos -json")
 	case a.CheckpointInterval < 1:
 		return errors.New("-checkpoint-interval must be >= 1")
-	case a.Nodes < 0:
+	case isSet("nodes") && a.Nodes < 1:
 		return errors.New("-nodes must be >= 1")
-	case a.ArrivalRate < 0:
+	case isSet("arrival-rate") && a.ArrivalRate <= 0:
 		return errors.New("-arrival-rate must be > 0")
 	case a.ArrivalRate != 0 && a.TraceFile != "":
 		return errors.New("-arrival-rate and -trace-file are mutually exclusive")
@@ -445,7 +450,7 @@ func (a Args) Check(e Experiment, set []string) error {
 		return errors.New("-slo-out with -exp fleet requires an explicit -scrape-interval (every cell must share one interval for the merged timeline)")
 	case a.AuditOut != "" && (a.TraceOut != "" || a.SpansOut != "" || a.MetricsOut != ""):
 		return errors.New("-audit-out cannot be combined with the span/metrics artifact flags")
-	case a.ChurnRate < 0:
+	case isSet("churn-rate") && a.ChurnRate <= 0:
 		return errors.New("-churn-rate must be > 0")
 	case a.ForkMode != "" && !slices.Contains(serverlessModes, a.ForkMode):
 		return fmt.Errorf("-fork-mode must be %s (got %q)", orList(serverlessModes), a.ForkMode)

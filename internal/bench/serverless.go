@@ -1,12 +1,12 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
 	"repro/internal/backends"
 	"repro/internal/clock"
-	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/guest"
@@ -58,17 +58,15 @@ const (
 	serverlessSiblings   = 4
 	serverlessChurnForks = 24
 	serverlessIDPool     = 9
-	// The fleet stage: churn cells are sized like the fleet experiment
-	// but short-lived (MeanReqs) and moderately loaded, so the tails
-	// isolate instantiation cost rather than queueing collapse.
-	serverlessNodes        = 50
-	serverlessSlotsPerNode = 4
-	serverlessQueueLimit   = 16
-	serverlessMeanReqs     = 2
-	serverlessLoad         = 0.5
-	// serverlessArrivalsPerCell sizes the horizon per scale unit.
-	serverlessArrivalsPerCell = 2000
+	// The fleet stage's default size and offered load (moderate, so the
+	// tails isolate instantiation cost rather than queueing collapse).
+	serverlessNodes = 50
+	serverlessLoad  = 0.5
 )
+
+// serverlessShape sizes the fleet stage's churn cells: short-lived
+// instances and no storm, so the tails isolate instantiation cost.
+var serverlessShape = cellShape{slots: 4, queueLimit: 16, meanReqs: 2, arrivals: 2000}
 
 // serverlessModes is the instantiation-mode axis of the fleet stage.
 var serverlessModes = []string{"cold", "eager", "cow", "lazy"}
@@ -140,15 +138,7 @@ type ServerlessRow struct {
 	Runtime       string  `json:"runtime"`
 	Mode          string  `json:"mode"`
 	OfferedPerSec float64 `json:"offered_per_sec"`
-	Arrived       int     `json:"arrived"`
-	Completed     int     `json:"completed"`
-	Rejected      int     `json:"rejected"`
-	GoodputPerSec float64 `json:"goodput_per_sec"`
-	MeanMs        float64 `json:"mean_ms"`
-	P50Ms         float64 `json:"p50_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	P999Ms        float64 `json:"p999_ms"`
-	MaxQueue      int     `json:"max_queue"`
+	LatencyRow
 	// Attribution over every completed request (exact: the three
 	// shares sum to 100% of completed latency, conservation-checked
 	// per request).
@@ -175,13 +165,10 @@ type ServerlessReport struct {
 	Rows         []ServerlessRow         `json:"rows"`
 }
 
-// serverlessSpecs is fleetSpecs with the TLB pinned small, so the lazy
-// prefetch set is a strict subset of the heap on every runtime.
-func serverlessSpecs() []struct {
-	kind backends.Kind
-	opts backends.Options
-} {
-	specs := fleetSpecs()
+// serverlessSpecs is runtimeGrid with the TLB pinned small, so the
+// lazy prefetch set is a strict subset of the heap on every runtime.
+func serverlessSpecs() []runtimeSpec {
+	specs := runtimeGrid()
 	for i := range specs {
 		specs[i].opts.TLBEntries = serverlessTLBEntries
 	}
@@ -445,33 +432,19 @@ func serverlessCellCosts(cal *serverlessCosts, mode string) (fleet.RuntimeCosts,
 // serverlessAttribution decomposes every completed request's latency
 // into queue, instantiation (boot, fork, warm restore, storm redo) and
 // service time, conservation-checked per request.
-func serverlessAttribution(name string, rec *trace.RequestRecorder) (queuePs, bootPs, servicePs int64, err error) {
+func serverlessAttribution(rec *trace.RequestRecorder) (queuePs, bootPs, servicePs int64, err error) {
 	for _, id := range rec.Requests() {
 		segs := rec.Segments(id)
-		last := segs[len(segs)-1]
-		if !last.Terminal() || last.Kind != trace.SegComplete {
+		if segs[len(segs)-1].Kind != trace.SegComplete {
 			continue
 		}
-		total, cerr := trace.Conserve(segs)
-		if cerr != nil {
-			return 0, 0, 0, fmt.Errorf("serverless: %s: %w", name, cerr)
+		c, err := decompose(segs)
+		if err != nil {
+			return 0, 0, 0, err
 		}
-		var q, b, s int64
-		for _, seg := range segs {
-			switch seg.Kind {
-			case trace.SegQueue:
-				q += int64(seg.Dur)
-			case trace.SegBoot, trace.SegForkBoot, trace.SegWarmRestore, trace.SegStormRedo:
-				b += int64(seg.Dur)
-			case trace.SegService:
-				s += int64(seg.Dur)
-			}
-		}
-		if q+b+s != int64(total) {
-			return 0, 0, 0, fmt.Errorf("serverless: %s: request %s components sum to %d ps, latency is %d ps",
-				name, id, q+b+s, int64(total))
-		}
-		queuePs, bootPs, servicePs = queuePs+q, bootPs+b, servicePs+s
+		queuePs += c.QueuePs
+		bootPs += c.BootPs + c.WarmRestorePs + c.StormRedoPs
+		servicePs += c.ServicePs
 	}
 	return queuePs, bootPs, servicePs, nil
 }
@@ -492,16 +465,8 @@ func serverlessFleetModes(sel string) ([]string, error) {
 // RunServerless executes the serverless experiment. Deterministic: the
 // same opts produce the same report, byte for byte, for any Parallel.
 func RunServerless(o ServerlessOpts) (*ServerlessReport, error) {
-	if o.Scale < 1 {
-		o.Scale = 1
-	}
-	if o.Parallel < 1 {
-		o.Parallel = 1
-	}
-	nodes := o.Nodes
-	if nodes == 0 {
-		nodes = serverlessNodes
-	}
+	o.Scale, o.Parallel = max(o.Scale, 1), max(o.Parallel, 1)
+	nodes := cmp.Or(o.Nodes, serverlessNodes)
 	modes, err := serverlessFleetModes(o.ForkMode)
 	if err != nil {
 		return nil, err
@@ -528,20 +493,19 @@ func RunServerless(o ServerlessOpts) (*ServerlessReport, error) {
 
 	rep := &ServerlessReport{
 		Seed: ServerlessSeed, Scale: o.Scale, Nodes: nodes,
-		SlotsPerNode: serverlessSlotsPerNode, QueueLimit: serverlessQueueLimit,
-		MeanReqs: serverlessMeanReqs, Sched: sched.Name(),
+		SlotsPerNode: serverlessShape.slots, QueueLimit: serverlessShape.queueLimit,
+		MeanReqs: serverlessShape.meanReqs, Sched: sched.Name(),
 		HeapPages: serverlessHeapPages * o.Scale, HotPages: serverlessHotPages,
 		TLBEntries: serverlessTLBEntries,
 	}
-	ns := func(t clock.Time) float64 { return float64(t) / float64(clock.Nanosecond) }
 	for _, cal := range cals {
 		rep.Calibration = append(rep.Calibration, ServerlessCalibration{
 			Runtime:        cal.name,
-			ColdBootNs:     ns(cal.cold),
-			EagerRestoreNs: ns(cal.eager),
-			CowForkNs:      ns(cal.cow),
-			LazyForkNs:     ns(cal.lazy),
-			InvokeNs:       ns(cal.invoke),
+			ColdBootNs:     cal.cold.Nanos(),
+			EagerRestoreNs: cal.eager.Nanos(),
+			CowForkNs:      cal.cow.Nanos(),
+			LazyForkNs:     cal.lazy.Nanos(),
+			InvokeNs:       cal.invoke.Nanos(),
 			ColdOverLazy:   float64(cal.cold) / float64(cal.lazy),
 			ShareBreaks:    cal.shareBreaks,
 			LazyFaults:     cal.lazyFaults,
@@ -560,32 +524,25 @@ func RunServerless(o ServerlessOpts) (*ServerlessReport, error) {
 		costs, forkBoots := serverlessCellCosts(cal, mode)
 		// Rate and horizon derive from the cold cost model for every
 		// mode: the comparison holds offered load fixed and lets the
-		// instantiation path move the tail.
-		lifetime := cal.cold + clock.Time(serverlessMeanReqs)*cal.invoke
-		rate := serverlessLoad * float64(nodes*serverlessSlotsPerNode) / lifetime.Seconds()
+		// instantiation path move the tail. The rate multiplies load by
+		// the slot count before dividing, unlike capacity(): the two
+		// orders can round differently.
+		lifetime := serverlessShape.lifetime(fleet.RuntimeCosts{Boot: cal.cold, Service: cal.invoke})
+		rate := serverlessLoad * float64(nodes*serverlessShape.slots) / lifetime.Seconds()
 		if o.ChurnRate > 0 {
 			rate = o.ChurnRate
 		}
-		horizon := clock.Time(float64(serverlessArrivalsPerCell*o.Scale) / rate * float64(clock.Second))
-		seed := faults.Child(ServerlessSeed, ri)
+		cfg := serverlessShape.poisson(o.Scale, nodes, costs, sched, faults.Child(ServerlessSeed, ri), rate)
 		rec := trace.NewRequestRecorder()
-		cfg := fleet.Config{
-			Nodes: nodes, SlotsPerNode: serverlessSlotsPerNode,
-			QueueLimit: serverlessQueueLimit, Costs: costs,
-			MeanReqs: serverlessMeanReqs,
-			Arrivals: des.PoissonArrivals(seed, rate, horizon), Horizon: horizon,
-			Seed: seed, Sched: sched,
-			ForkBoots: forkBoots, Requests: rec,
-		}
+		cfg.ForkBoots, cfg.Requests = forkBoots, rec
 		res, err := fleet.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("serverless: %s/%s: %w", cal.name, mode, err)
 		}
-		q, b, s, err := serverlessAttribution(cal.name+"/"+mode, rec)
+		q, b, s, err := serverlessAttribution(rec)
 		if err != nil {
-			return err
+			return fmt.Errorf("serverless: %s/%s: %w", cal.name, mode, err)
 		}
-		ms := func(t clock.Time) float64 { return float64(t) / float64(clock.Millisecond) }
 		pct := func(part int64) float64 {
 			if total := q + b + s; total > 0 {
 				return 100 * float64(part) / float64(total)
@@ -594,14 +551,8 @@ func RunServerless(o ServerlessOpts) (*ServerlessReport, error) {
 		}
 		rows[ci] = ServerlessRow{
 			Runtime: cal.name, Mode: mode, OfferedPerSec: rate,
-			Arrived: res.Arrived, Completed: res.Completed, Rejected: res.Rejected,
-			GoodputPerSec: res.Goodput(cfg.Horizon),
-			MeanMs:        ms(res.MeanLatency()),
-			P50Ms:         ms(res.Quantile(0.5)),
-			P99Ms:         ms(res.Quantile(0.99)),
-			P999Ms:        ms(res.Quantile(0.999)),
-			MaxQueue:      res.MaxQueue,
-			QueuePct:      pct(q), BootPct: pct(b), ServicePct: pct(s),
+			LatencyRow: latencyRow(res, cfg.Horizon),
+			QueuePct:   pct(q), BootPct: pct(b), ServicePct: pct(s),
 		}
 		return nil
 	})

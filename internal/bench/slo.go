@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/audit"
 	"repro/internal/backends"
 	"repro/internal/clock"
-	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
@@ -36,25 +36,15 @@ import (
 const SLOSeed = 0x510b4a1
 
 const (
-	// sloNodes x sloSlotsPerNode is the simulated fleet; the queue
-	// limit is tighter than the fleet experiment's so overload turns
-	// into rejections quickly.
-	sloNodes        = 20
-	sloSlotsPerNode = 4
-	sloQueueLimit   = 8
-	sloMeanReqs     = 8
-	// sloArrivalsPerCell sizes the horizon per scale unit.
-	sloArrivalsPerCell = 4000
+	// sloNodes is the default fleet size.
+	sloNodes = 20
 	// sloLoad is the offered load as a fraction of nominal capacity:
-	// high enough that losing sloEvictFrac of the nodes is a hard
+	// high enough that losing the storm's share of the nodes is a hard
 	// overload, low enough that the healthy fleet rarely rejects.
 	sloLoad = 0.9
 	// sloTicks is the default scrape count per cell (the scrape
 	// interval is horizon/sloTicks unless overridden).
 	sloTicks = 120
-	// sloEvictNum/sloEvictDen: the storm takes 3/5 of the nodes down.
-	sloEvictNum = 3
-	sloEvictDen = 5
 	// sloReplayMaxReqs bounds the machine replay's request volume.
 	sloReplayMaxReqs = 256
 	// sloBundleRadius is how many trailing scrape windows a postmortem
@@ -64,6 +54,14 @@ const (
 	// report (the full-resolution series live in the -slo-out export).
 	sloWindowStride = 4
 )
+
+// sloShape sizes the slo cells. The queue limit is tighter than the
+// fleet experiment's so overload turns into rejections quickly.
+var sloShape = cellShape{
+	slots: 4, queueLimit: 8, meanReqs: 8, arrivals: 4000,
+	evictAt: 3, downFor: 4,
+	stormNodes: func(nodes int) int { return nodes * 3 / 5 },
+}
 
 // SLOOpts parameterizes the experiment; zero values mean the
 // committed-artifact defaults.
@@ -232,33 +230,20 @@ func sloCell(o SLOOpts, nodes int, ri int, name string, costs fleet.RuntimeCosts
 	var row SLORow
 	var bundles []SLONamedBundle
 
-	lifetime := costs.Boot + clock.Time(sloMeanReqs)*costs.Service
-	capacity := float64(nodes*sloSlotsPerNode) / lifetime.Seconds()
-	rate := sloLoad * capacity
-	horizon := clock.Time(float64(sloArrivalsPerCell*o.Scale) / rate * float64(clock.Second))
-	interval := o.ScrapeInterval
-	if interval <= 0 {
-		interval = horizon / sloTicks
-	}
-	seed := faults.Child(SLOSeed, ri)
 	sched, err := fleet.SchedulerByName("spread")
 	if err != nil {
 		return row, nil, nil, err
 	}
-
-	cfg := fleet.Config{
-		Nodes: nodes, SlotsPerNode: sloSlotsPerNode, QueueLimit: sloQueueLimit,
-		Costs: costs, MeanReqs: sloMeanReqs,
-		Arrivals: des.PoissonArrivals(seed, rate, horizon), Horizon: horizon,
-		Seed: seed, Sched: sched,
-		SnapshotAge: lifetime / 4,
-		EvictAt:     horizon / 3,
-		EvictNodes:  nodes * sloEvictNum / sloEvictDen,
-		DownFor:     horizon / 4,
-		ScrapeEvery: interval,
+	rate := sloLoad * sloShape.capacity(nodes, costs)
+	cfg := sloShape.poisson(o.Scale, nodes, costs, sched, faults.Child(SLOSeed, ri), rate)
+	sloShape.storm(&cfg)
+	interval := o.ScrapeInterval
+	if interval <= 0 {
+		interval = cfg.Horizon / sloTicks
 	}
+	cfg.ScrapeEvery = interval
 
-	p99CeilNs := 8 * float64(lifetime) / float64(clock.Nanosecond)
+	p99CeilNs := 8 * float64(sloShape.lifetime(costs)) / float64(clock.Nanosecond)
 	eng, err := telemetry.NewEngine(sloSpecs(name, p99CeilNs))
 	if err != nil {
 		return row, nil, nil, err
@@ -286,7 +271,7 @@ func sloCell(o SLOOpts, nodes int, ri int, name string, costs fleet.RuntimeCosts
 
 	row = SLORow{
 		Runtime: name, OfferedPerSec: rate,
-		HorizonNs:        int64(horizon / clock.Nanosecond),
+		HorizonNs:        int64(cfg.Horizon / clock.Nanosecond),
 		ScrapeIntervalNs: int64(interval / clock.Nanosecond),
 		Ticks:            store.Ticks(),
 		StormStartNs:     int64(cfg.EvictAt / clock.Nanosecond),
@@ -323,11 +308,8 @@ func sloCell(o SLOOpts, nodes int, ri int, name string, costs fleet.RuntimeCosts
 			break
 		}
 	}
-	reqs := stat.Requests
-	if reqs > sloReplayMaxReqs {
-		reqs = sloReplayMaxReqs
-	}
-	w := fleet.NodeWork{Node: stat.Node, Containers: sloSlotsPerNode, Requests: reqs, Crashes: 2}
+	w := replayWork(stat, sloShape.slots, sloReplayMaxReqs)
+	w.Crashes = 2 // the watchdog dump path needs a crash even on the fallback node
 
 	ar := audit.NewRecorder(nil)
 	fr := telemetry.NewFlightRecorder(0, 0)
@@ -453,44 +435,18 @@ func sloWindows(st *telemetry.Store, name string) []SLOWindow {
 // RunSLO executes the slo experiment. Deterministic: the same opts
 // produce the same report, byte for byte, for any Parallel.
 func RunSLO(o SLOOpts) (*SLOReport, error) {
-	if o.Scale < 1 {
-		o.Scale = 1
-	}
-	if o.Parallel < 1 {
-		o.Parallel = 1
-	}
-	nodes := o.Nodes
-	if nodes == 0 {
-		nodes = sloNodes
-	}
-	specs := fleetSpecs()
-
-	costs := make([]fleet.RuntimeCosts, len(specs))
-	names := make([]string, len(specs))
-	err := RunIndexed(o.Parallel, len(specs), func(i int) error {
-		c, name, err := fleetCalibrate(specs[i].kind, specs[i].opts)
-		if err != nil {
-			return fmt.Errorf("slo: calibrate %v: %w", specs[i].kind, err)
-		}
-		costs[i], names[i] = c, name
-		return nil
-	})
+	o.Scale, o.Parallel = max(o.Scale, 1), max(o.Parallel, 1)
+	nodes := cmp.Or(o.Nodes, sloNodes)
+	specs := runtimeGrid()
+	costs, names, cal, err := calibrateGrid("slo", o.Parallel, specs)
 	if err != nil {
 		return nil, err
 	}
 
 	rep := &SLOReport{
 		Seed: SLOSeed, Scale: o.Scale, Nodes: nodes,
-		SlotsPerNode: sloSlotsPerNode, QueueLimit: sloQueueLimit,
-		MeanReqs: sloMeanReqs, Sched: "spread",
-	}
-	for i := range specs {
-		rep.Calibration = append(rep.Calibration, FleetCalibration{
-			Runtime:       names[i],
-			BootNs:        float64(costs[i].Boot) / float64(clock.Nanosecond),
-			ServiceNs:     float64(costs[i].Service) / float64(clock.Nanosecond),
-			WarmRestoreNs: float64(costs[i].WarmRestore) / float64(clock.Nanosecond),
-		})
+		SlotsPerNode: sloShape.slots, QueueLimit: sloShape.queueLimit,
+		MeanReqs: sloShape.meanReqs, Sched: "spread", Calibration: cal,
 	}
 
 	rows := make([]SLORow, len(specs))
@@ -620,8 +576,8 @@ func (rep *SLOReport) WriteTable(w io.Writer) error {
 // both an alert bundle and watchdog bundles that captured spans and
 // audit events.
 func (rep *SLOReport) Invariants() error {
-	if len(rep.Rows) != len(fleetSpecs()) {
-		return fmt.Errorf("slo: %d rows, want one per runtime (%d)", len(rep.Rows), len(fleetSpecs()))
+	if len(rep.Rows) != len(runtimeGrid()) {
+		return fmt.Errorf("slo: %d rows, want one per runtime (%d)", len(rep.Rows), len(runtimeGrid()))
 	}
 	for _, r := range rep.Rows {
 		switch {

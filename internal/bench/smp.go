@@ -105,14 +105,8 @@ func RunSMPAuditedParallel(scale int, seed uint64, rec *audit.Recorder, parallel
 }
 
 // smpSpecs is the runtime axis of the SMP grid.
-func smpSpecs() []struct {
-	kind backends.Kind
-	opts backends.Options
-} {
-	return []struct {
-		kind backends.Kind
-		opts backends.Options
-	}{
+func smpSpecs() []runtimeSpec {
+	return []runtimeSpec{
 		{backends.RunC, backends.Options{}},
 		{backends.HVM, backends.Options{GuestFrames: 1 << 13}},
 		{backends.PVM, backends.Options{GuestFrames: 1 << 13}},

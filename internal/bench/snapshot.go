@@ -93,23 +93,6 @@ func (r *SnapshotReport) CheckpointBlob(runtime string) []byte {
 	return nil
 }
 
-// snapshotSpecs mirrors the chaos experiment's runtime grid.
-func snapshotSpecs() []struct {
-	kind backends.Kind
-	opts backends.Options
-} {
-	return []struct {
-		kind backends.Kind
-		opts backends.Options
-	}{
-		{backends.RunC, backends.Options{}},
-		{backends.HVM, backends.Options{GuestFrames: 1 << 12}},
-		{backends.PVM, backends.Options{GuestFrames: 1 << 12}},
-		{backends.CKI, backends.Options{SegmentFrames: 2048}},
-		{backends.GVisor, backends.Options{}},
-	}
-}
-
 // snapshotState builds checkpointable guest state: a dirty file in the
 // tmpfs and a persistent heap mapping with every page faulted in dirty.
 func snapshotState(k *guest.Kernel, pages int) error {
@@ -316,7 +299,7 @@ func snapshotCell(kind backends.Kind, opts backends.Options, scale, interval int
 // same scale and interval, byte-identical report and checkpoint blobs
 // for any parallel value.
 func RunSnapshot(scale, parallel, interval int) (*SnapshotReport, error) {
-	specs := snapshotSpecs()
+	specs := runtimeGrid()
 	rep := &SnapshotReport{
 		Scale:    scale,
 		Interval: interval,
@@ -368,8 +351,8 @@ func (rep *SnapshotReport) WriteTable(w io.Writer) error {
 // a converged pre-copy with a real blackout, and on CKI and PVM warm
 // restores that recover faster than cold restarts.
 func (rep *SnapshotReport) Invariants() error {
-	if len(rep.Rows) != len(snapshotSpecs()) {
-		return fmt.Errorf("snapshot: %d rows, want one per runtime (%d)", len(rep.Rows), len(snapshotSpecs()))
+	if len(rep.Rows) != len(runtimeGrid()) {
+		return fmt.Errorf("snapshot: %d rows, want one per runtime (%d)", len(rep.Rows), len(runtimeGrid()))
 	}
 	for i, r := range rep.Rows {
 		switch {

@@ -1,12 +1,12 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"sort"
 
 	"repro/internal/clock"
-	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
@@ -32,24 +32,24 @@ import (
 const TailSeed = 0x7a11a7
 
 const (
-	// tailNodes x tailSlotsPerNode is the simulated fleet (smaller than
-	// the fleet experiment's: the artifact carries per-request detail).
-	tailNodes        = 20
-	tailSlotsPerNode = 4
-	tailQueueLimit   = 16
-	tailMeanReqs     = 8
-	// tailArrivalsPerCell sizes the horizon per scale unit.
-	tailArrivalsPerCell = 4000
+	// tailNodes is the default fleet size (smaller than the fleet
+	// experiment's: the artifact carries per-request detail).
+	tailNodes = 20
 	// tailLoad is the offered load as a fraction of nominal capacity.
 	tailLoad = 0.8
-	// tailEvictDen: the storm takes nodes/tailEvictDen nodes down —
-	// harsher than the fleet experiment so redo segments dominate the
-	// far tail visibly.
-	tailEvictDen = 4
 	// tailTopK is how many of the slowest requests get waterfalls (on
 	// top of every histogram exemplar, which always resolves to one).
 	tailTopK = 3
 )
+
+// tailShape sizes the tail cells. The storm is harsher than the fleet
+// experiment's, a quarter of the nodes, so redo segments dominate the
+// far tail visibly.
+var tailShape = cellShape{
+	slots: 4, queueLimit: 16, meanReqs: 8, arrivals: 4000,
+	evictAt: 2, downFor: 8,
+	stormNodes: func(nodes int) int { return max(nodes/4, 1) },
+}
 
 // TailOpts parameterizes the experiment; zero values mean the
 // committed-artifact defaults.
@@ -61,9 +61,10 @@ type TailOpts struct {
 }
 
 // TailComponents is one request's latency decomposed into causal
-// components. All durations are picoseconds — the virtual clock's own
-// unit — because the conservation law is exact: QueuePs + BootPs +
-// WarmRestorePs + ServicePs + StormRedoPs == TotalPs, no rounding.
+// components (decompose extracts them). All durations are picoseconds
+// — the virtual clock's own unit — because the conservation law is
+// exact: QueuePs + BootPs + WarmRestorePs + ServicePs + StormRedoPs ==
+// TotalPs, no rounding. BootPs counts cold boots and fork boots.
 type TailComponents struct {
 	QueuePs       int64 `json:"queue_ps"`
 	BootPs        int64 `json:"boot_ps"`
@@ -76,40 +77,6 @@ type TailComponents struct {
 	// displacements survived.
 	Placements int `json:"placements"`
 	Evictions  int `json:"evictions,omitempty"`
-}
-
-// tailComponents extracts one request's components from its causal
-// segment chain, enforcing the conservation law on the way.
-func tailComponents(segs []trace.Segment) (TailComponents, error) {
-	var c TailComponents
-	total, err := trace.Conserve(segs)
-	if err != nil {
-		return c, err
-	}
-	for _, s := range segs {
-		switch s.Kind {
-		case trace.SegQueue:
-			c.QueuePs += int64(s.Dur)
-		case trace.SegBoot:
-			c.BootPs += int64(s.Dur)
-		case trace.SegWarmRestore:
-			c.WarmRestorePs += int64(s.Dur)
-		case trace.SegService:
-			c.ServicePs += int64(s.Dur)
-		case trace.SegStormRedo:
-			c.StormRedoPs += int64(s.Dur)
-		case trace.SegPlacement:
-			c.Placements++
-		case trace.SegEvict:
-			c.Evictions++
-		}
-	}
-	c.TotalPs = int64(total)
-	if sum := c.QueuePs + c.BootPs + c.WarmRestorePs + c.ServicePs + c.StormRedoPs; sum != c.TotalPs {
-		return c, fmt.Errorf("tail: request %s: components sum to %d ps, latency is %d ps",
-			segs[0].Req, sum, c.TotalPs)
-	}
-	return c, nil
 }
 
 // TailStep is one segment of a waterfall, virtual-time ordered.
@@ -210,31 +177,16 @@ type tailCell struct {
 // runTailCell executes one cell: the storm (or calm-baseline) scenario
 // with a request recorder and an exemplar-enabled probe attached.
 func runTailCell(o TailOpts, nodes, ri int, name string, costs fleet.RuntimeCosts, storm bool) (*tailCell, error) {
-	lifetime := costs.Boot + clock.Time(tailMeanReqs)*costs.Service
-	capacity := float64(nodes*tailSlotsPerNode) / lifetime.Seconds()
-	rate := tailLoad * capacity
-	horizon := clock.Time(float64(tailArrivalsPerCell*o.Scale) / rate * float64(clock.Second))
-	// Storm and calm share the seed: identical arrivals and demands, so
-	// the quantile delta isolates the storm.
-	seed := faults.Child(TailSeed, ri)
 	sched, err := fleet.SchedulerByName("spread")
 	if err != nil {
 		return nil, err
 	}
-	cfg := fleet.Config{
-		Nodes: nodes, SlotsPerNode: tailSlotsPerNode, QueueLimit: tailQueueLimit,
-		Costs: costs, MeanReqs: tailMeanReqs,
-		Arrivals: des.PoissonArrivals(seed, rate, horizon), Horizon: horizon,
-		Seed: seed, Sched: sched,
-	}
+	// Storm and calm share the seed: identical arrivals and demands, so
+	// the quantile delta isolates the storm.
+	rate := tailLoad * tailShape.capacity(nodes, costs)
+	cfg := tailShape.poisson(o.Scale, nodes, costs, sched, faults.Child(TailSeed, ri), rate)
 	if storm {
-		cfg.SnapshotAge = lifetime / 4
-		cfg.EvictAt = horizon / 2
-		cfg.EvictNodes = nodes / tailEvictDen
-		if cfg.EvictNodes < 1 {
-			cfg.EvictNodes = 1
-		}
-		cfg.DownFor = horizon / 8
+		tailShape.storm(&cfg)
 	}
 	rec := trace.NewRequestRecorder()
 	cfg.Requests = rec
@@ -262,7 +214,6 @@ type tailPair struct {
 // conservation-checked here, not just the reported ones.
 func tailRow(name string, storm, calm *tailCell) (TailRow, error) {
 	res := storm.res
-	ms := func(t clock.Time) float64 { return float64(t) / float64(clock.Millisecond) }
 	row := TailRow{
 		Runtime: name, OfferedPerSec: storm.rate,
 		HorizonNs:    int64(storm.cfg.Horizon / clock.Nanosecond),
@@ -281,7 +232,7 @@ func tailRow(name string, storm, calm *tailCell) (TailRow, error) {
 		if last := segs[len(segs)-1]; !last.Terminal() {
 			continue // in flight at the horizon
 		}
-		c, err := tailComponents(segs)
+		c, err := decompose(segs)
 		if err != nil {
 			return row, fmt.Errorf("tail: %s: %w", name, err)
 		}
@@ -334,7 +285,7 @@ func tailRow(name string, storm, calm *tailCell) (TailRow, error) {
 				name, q.name, p.lat, want)
 		}
 		row.Quantiles = append(row.Quantiles, TailQuantile{
-			Q: q.name, LatencyMs: ms(p.lat), RequestID: p.id.String(),
+			Q: q.name, LatencyMs: millis(p.lat), RequestID: p.id.String(),
 			Components: comps[p.id],
 		})
 	}
@@ -362,7 +313,7 @@ func tailRow(name string, storm, calm *tailCell) (TailRow, error) {
 		}
 		wf := TailWaterfall{
 			RequestID: p.id.String(), Rank: rank[p.id],
-			LatencyMs: ms(p.lat), Components: comps[p.id],
+			LatencyMs: millis(p.lat), Components: comps[p.id],
 		}
 		for _, s := range storm.rec.Segments(p.id) {
 			wf.Steps = append(wf.Steps, TailStep{
@@ -374,56 +325,30 @@ func tailRow(name string, storm, calm *tailCell) (TailRow, error) {
 	}
 
 	// The paired baseline: same arrivals, no storm.
-	row.CalmP50Ms = ms(calm.res.Quantile(0.5))
-	row.CalmP99Ms = ms(calm.res.Quantile(0.99))
-	row.CalmP999Ms = ms(calm.res.Quantile(0.999))
-	row.StormTaxP50Ms = ms(res.Quantile(0.5)) - row.CalmP50Ms
-	row.StormTaxP99Ms = ms(res.Quantile(0.99)) - row.CalmP99Ms
-	row.StormTaxP999Ms = ms(res.Quantile(0.999)) - row.CalmP999Ms
+	row.CalmP50Ms = millis(calm.res.Quantile(0.5))
+	row.CalmP99Ms = millis(calm.res.Quantile(0.99))
+	row.CalmP999Ms = millis(calm.res.Quantile(0.999))
+	row.StormTaxP50Ms = millis(res.Quantile(0.5)) - row.CalmP50Ms
+	row.StormTaxP99Ms = millis(res.Quantile(0.99)) - row.CalmP99Ms
+	row.StormTaxP999Ms = millis(res.Quantile(0.999)) - row.CalmP999Ms
 	return row, nil
 }
 
 // RunTail executes the tail experiment. Deterministic: the same opts
 // produce the same report, byte for byte, for any Parallel.
 func RunTail(o TailOpts) (*TailReport, error) {
-	if o.Scale < 1 {
-		o.Scale = 1
-	}
-	if o.Parallel < 1 {
-		o.Parallel = 1
-	}
-	nodes := o.Nodes
-	if nodes == 0 {
-		nodes = tailNodes
-	}
-	specs := fleetSpecs()
-
-	costs := make([]fleet.RuntimeCosts, len(specs))
-	names := make([]string, len(specs))
-	err := RunIndexed(o.Parallel, len(specs), func(i int) error {
-		c, name, err := fleetCalibrate(specs[i].kind, specs[i].opts)
-		if err != nil {
-			return fmt.Errorf("tail: calibrate %v: %w", specs[i].kind, err)
-		}
-		costs[i], names[i] = c, name
-		return nil
-	})
+	o.Scale, o.Parallel = max(o.Scale, 1), max(o.Parallel, 1)
+	nodes := cmp.Or(o.Nodes, tailNodes)
+	specs := runtimeGrid()
+	costs, names, cal, err := calibrateGrid("tail", o.Parallel, specs)
 	if err != nil {
 		return nil, err
 	}
 
 	rep := &TailReport{
 		Seed: TailSeed, Scale: o.Scale, Nodes: nodes,
-		SlotsPerNode: tailSlotsPerNode, QueueLimit: tailQueueLimit,
-		MeanReqs: tailMeanReqs, Sched: "spread",
-	}
-	for i := range specs {
-		rep.Calibration = append(rep.Calibration, FleetCalibration{
-			Runtime:       names[i],
-			BootNs:        float64(costs[i].Boot) / float64(clock.Nanosecond),
-			ServiceNs:     float64(costs[i].Service) / float64(clock.Nanosecond),
-			WarmRestoreNs: float64(costs[i].WarmRestore) / float64(clock.Nanosecond),
-		})
+		SlotsPerNode: tailShape.slots, QueueLimit: tailShape.queueLimit,
+		MeanReqs: tailShape.meanReqs, Sched: "spread", Calibration: cal,
 	}
 
 	// Two cells per runtime — storm (even) and calm baseline (odd) —
@@ -534,9 +459,9 @@ func (c TailComponents) conserves() bool {
 // completion; every histogram exemplar resolves to a waterfall; and the
 // far-tail storm tax is non-negative.
 func (rep *TailReport) Invariants() error {
-	if len(rep.Rows) != len(fleetSpecs()) || len(rep.Calibration) != len(fleetSpecs()) {
+	if len(rep.Rows) != len(runtimeGrid()) || len(rep.Calibration) != len(runtimeGrid()) {
 		return fmt.Errorf("tail: %d rows / %d calibrations, want one per runtime (%d)",
-			len(rep.Rows), len(rep.Calibration), len(fleetSpecs()))
+			len(rep.Rows), len(rep.Calibration), len(runtimeGrid()))
 	}
 	for _, r := range rep.Rows {
 		switch {

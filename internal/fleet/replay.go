@@ -65,30 +65,9 @@ type NodeArtifact struct {
 // node's container slots are co-resident containers on one shared
 // machine, supervised through crashes and restarts.
 type MachineNode struct {
-	id   int
 	Kind backends.Kind
 	Cl   *backends.Cluster
 	Sup  *backends.Supervisor
-}
-
-// ID implements Node.
-func (m *MachineNode) ID() int { return m.id }
-
-// Pressure implements Node: a machine node's slots are its booted
-// containers, all running (the replay drives them saturated; queueing
-// happens in the control plane).
-func (m *MachineNode) Pressure() Pressure {
-	running := 0
-	for _, c := range m.Cl.Containers {
-		if !c.K.Died() {
-			running++
-		}
-	}
-	return Pressure{
-		Node:    m.id,
-		Slots:   len(m.Cl.Containers),
-		Running: running,
-	}
 }
 
 // replayRequest is one served request: map a page, touch it, retire
@@ -127,7 +106,7 @@ func NewMachineNode(w NodeWork, kind backends.Kind, opts backends.Options) (*Mac
 	if opts.SegmentFrames == 0 {
 		opts.SegmentFrames = 1 << 11
 	}
-	n := &MachineNode{id: w.Node, Kind: kind, Cl: cl}
+	n := &MachineNode{Kind: kind, Cl: cl}
 	for i := 0; i < w.Containers; i++ {
 		if _, err := cl.Add(kind, opts); err != nil {
 			return nil, fmt.Errorf("fleet: node %d: boot container %d: %w", w.Node, i+1, err)

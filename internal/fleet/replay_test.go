@@ -78,27 +78,6 @@ func TestReplayNodeAcrossRuntimes(t *testing.T) {
 	}
 }
 
-// TestMachineNodePressure: a machine node exposes the same pressure
-// signal shape the control plane's SimNode does.
-func TestMachineNodePressure(t *testing.T) {
-	n, err := NewMachineNode(NodeWork{Node: 5, Containers: 3}, backends.RunC, backends.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := n.Pressure()
-	if p.Node != 5 || p.Slots != 3 || p.Running != 3 {
-		t.Fatalf("pressure = %+v", p)
-	}
-	if n.ID() != 5 {
-		t.Fatalf("ID() = %d", n.ID())
-	}
-	var asNode Node = n
-	var asSim Node = NewSimNode(5, 3, 8)
-	if asNode.ID() != asSim.ID() {
-		t.Fatalf("interface disagreement")
-	}
-}
-
 // TestReplayNodeHooked: hooks are pure — a hooked replay (audit
 // recorder attached, per-round callback) produces the identical
 // NodeArtifact a plain one does, while the hooks see every round and
