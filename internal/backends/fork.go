@@ -69,17 +69,43 @@ func (f ForkMode) String() string {
 type forkPages struct {
 	c     *Container
 	store *snapshot.PageStore
-	// digests indexes the forked image's resident pages (rewritten
-	// PCIDs) by content digest.
+	// digests indexes the snapshot's resident pages by content digest,
+	// keyed by the snapshot's own PCIDs; the store builds it once per
+	// snapshot and every fork shares it.
 	digests map[snapshot.PageKey]uint64
+	// src and img are the snapshot's image and the fork's rewritten
+	// copy; their procs correspond by index.
+	src, img *guest.Image
 	// local: shared pages are backed by container-owned frames rather
 	// than the store's masters (HVM/PVM private guest memory, CKI
 	// ownership validation).
 	local bool
 }
 
+// sourcePCID maps a fork PCID back to the snapshot PCID of the live
+// proc it was rewritten from. An image holds a handful of procs, so a
+// scan is cheaper than building a map per fork.
+func (fp *forkPages) sourcePCID(pcid uint16) (uint16, bool) {
+	for i := len(fp.img.Procs) - 1; i >= 0; i-- {
+		if p := &fp.img.Procs[i]; !p.Exited && p.PCID == pcid {
+			return fp.src.Procs[i].PCID, true
+		}
+	}
+	return 0, false
+}
+
+// digest returns the content digest of the fork's page at (pcid, va).
+func (fp *forkPages) digest(pcid uint16, va uint64) (uint64, bool) {
+	src, ok := fp.sourcePCID(pcid)
+	if !ok {
+		return 0, false
+	}
+	d, ok := fp.digests[snapshot.PageKey{PCID: src, VA: va}]
+	return d, ok
+}
+
 func (fp *forkPages) Frame(pcid uint16, va uint64) (mem.PFN, bool, error) {
-	digest, ok := fp.digests[snapshot.PageKey{PCID: pcid, VA: va}]
+	digest, ok := fp.digest(pcid, va)
 	if !ok {
 		return 0, false, fmt.Errorf("backends: fork share for unknown page pcid %#x va %#x", pcid, va)
 	}
@@ -102,13 +128,13 @@ func (fp *forkPages) Frame(pcid uint16, va uint64) (mem.PFN, bool, error) {
 }
 
 func (fp *forkPages) Break(pcid uint16, va uint64) {
-	if digest, ok := fp.digests[snapshot.PageKey{PCID: pcid, VA: va}]; ok {
+	if digest, ok := fp.digest(pcid, va); ok {
 		fp.store.Break(digest)
 	}
 }
 
 func (fp *forkPages) Release(pcid uint16, va uint64) {
-	if digest, ok := fp.digests[snapshot.PageKey{PCID: pcid, VA: va}]; ok {
+	if digest, ok := fp.digest(pcid, va); ok {
 		fp.store.Release(digest)
 	}
 }
@@ -193,7 +219,9 @@ func ForkFromSnapshot(m *Machine, snap *snapshot.Snapshot, store *snapshot.PageS
 		c.K.ForkSrc = &forkPages{
 			c:       c,
 			store:   store,
-			digests: snapshot.ImageDigests(img),
+			digests: store.Digests(snap),
+			src:     &snap.Image,
+			img:     img,
 			local:   c.K.Mem != m.HostMem || c.Kind == CKI,
 		}
 	}

@@ -2,6 +2,7 @@ package backends
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/guest"
@@ -278,5 +279,93 @@ func TestForkGateBatch(t *testing.T) {
 	eager, cow := gateCalls(ForkEager), gateCalls(ForkCOW)
 	if cow*2 >= eager {
 		t.Fatalf("gate batching saved too little: cow fork %d gate calls vs eager %d", cow, eager)
+	}
+}
+
+// TestForkDigestIndex pins the shared digest index: every page a fork
+// resolves gives the digest ImageDigests computes for the fork's own
+// rewritten image — for a fork under a new container ID, for one that
+// keeps the snapshot's ID, and with a zombie and a file-backed mapping
+// in the image — and every fork of one snapshot through one store
+// reuses the index the first one built.
+func TestForkDigestIndex(t *testing.T) {
+	for _, kind := range []Kind{RunC, CKI} {
+		t.Run(kind.String(), func(t *testing.T) {
+			m := forkMachine(t, Options{})
+			c1, err := NewOnMachine(m, kind, Options{}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkpointWorkload(t, c1)
+			ino, err := c1.K.FS.Lookup("/app.db")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fa, err := c1.K.MmapCall(2*mem.PageSize, guest.ProtRead, ino, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c1.K.TouchRange(fa, 2*mem.PageSize, mmu.Read); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := Checkpoint(c1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exited := false
+			for _, p := range snap.Image.Procs {
+				exited = exited || p.Exited
+			}
+			if !exited {
+				t.Fatal("image has no exited proc")
+			}
+			if err := Discard(m, c1); err != nil {
+				t.Fatal(err)
+			}
+
+			store := snapshot.NewPageStore(m.HostMem)
+			var index uintptr
+			for _, id := range []int{snap.ContainerID, 2} {
+				f, err := ForkFromSnapshot(m, snap, store, id, ForkCOW)
+				if err != nil {
+					t.Fatalf("fork %d: %v", id, err)
+				}
+				img, _ := rewriteForFork(snap, id)
+				want := snapshot.ImageDigests(img)
+				fp := f.K.ForkSrc.(*forkPages)
+				resolved, file := 0, 0
+				for _, pid := range f.K.PIDs() {
+					p := f.K.Proc(pid)
+					if p.Exited {
+						continue
+					}
+					for _, va := range p.AS.ResidentVAs() {
+						key := snapshot.PageKey{PCID: p.AS.PCID, VA: va}
+						got, ok := fp.digest(key.PCID, key.VA)
+						w, wok := want[key]
+						if !ok || !wok || got != w {
+							t.Fatalf("fork %d pid %d %+v: digest %#x (%v), ImageDigests %#x (%v)",
+								id, pid, key, got, ok, w, wok)
+						}
+						if va >= fa && va < fa+2*mem.PageSize {
+							file++
+						}
+						resolved++
+					}
+				}
+				if resolved != img.ResidentPages() || file == 0 {
+					t.Fatalf("fork %d resolved %d pages (%d file-backed), image has %d resident",
+						id, resolved, file, img.ResidentPages())
+				}
+				if st := store.Stats(); st.DigestIndexes != 1 {
+					t.Fatalf("fork %d: store built %d digest indexes, want 1", id, st.DigestIndexes)
+				}
+				if p := reflect.ValueOf(fp.digests).Pointer(); index == 0 {
+					index = p
+				} else if p != index {
+					t.Fatalf("fork %d did not reuse the cached digest index", id)
+				}
+			}
+		})
 	}
 }

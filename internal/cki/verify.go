@@ -287,15 +287,21 @@ func (k *KSM) RefreshTopCopy(top mem.PFN, vcpu int) (int, error) {
 	}
 	const ad = pagetable.FlagAccessed | pagetable.FlagDirty
 	c := k.copies[top][vcpu]
+	// Each page is looked up once; a never-written one reads as zeros
+	// and materializes only if a slot has to be rewritten.
+	tp, cp := k.Mem.PeekPage(top), k.Mem.PeekPage(c)
 	fixed := 0
 	for i := 0; i < mem.WordsPerPage; i++ {
 		if i == KSMPML4Slot || i == PerVCPUPML4Slot {
 			continue
 		}
-		want := pagetable.ReadEntry(k.Mem, top, i)
-		got := pagetable.ReadEntry(k.Mem, c, i)
+		want := pagetable.PTE(tp.Word(i))
+		got := pagetable.PTE(cp.Word(i))
 		if got&^ad != want&^ad {
-			pagetable.WriteEntry(k.Mem, c, i, want|got&ad)
+			if cp == nil {
+				cp = k.Mem.Page(c)
+			}
+			cp[i] = uint64(want | got&ad)
 			fixed++
 		}
 	}
@@ -320,8 +326,11 @@ func (k *KSM) Retire(ptp mem.PFN) error {
 
 func (k *KSM) retireTree(ptp mem.PFN) error {
 	desc := k.ptps[ptp]
+	// Every slot is cleared below, so the page materializes anyway; look
+	// it up once rather than per slot.
+	pg := k.Mem.Page(ptp)
 	for i := 0; i < mem.WordsPerPage; i++ {
-		e := pagetable.ReadEntry(k.Mem, ptp, i)
+		e := pagetable.PTE(pg[i])
 		if !e.Present() {
 			continue
 		}
@@ -333,7 +342,7 @@ func (k *KSM) retireTree(ptp mem.PFN) error {
 				return err
 			}
 		}
-		pagetable.WriteEntry(k.Mem, ptp, i, 0)
+		pg[i] = 0
 	}
 	if desc.level == pagetable.LevelPML4 {
 		for _, c := range k.copies[ptp] {

@@ -17,6 +17,8 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/faults"
 )
@@ -70,15 +72,104 @@ var (
 	ErrDoubleFree   = errors.New("mem: frame already free")
 	ErrOutOfRange   = errors.New("mem: frame out of range")
 	ErrNotAllocated = errors.New("mem: frame not allocated")
+	ErrBadOwner     = errors.New("mem: owner tag out of range")
 )
+
+// tag is a frame's owner as stored: owner+2, so the zero value means
+// "free" and NoOwner is 1. A fresh machine is then all-free straight
+// from make, with no per-frame initialization.
+type tag int32
+
+const freeTag tag = 0
+
+func tagOf(owner int) tag { return tag(owner + 2) }
+
+// validOwner reports whether the int32 encoding can hold owner.
+func validOwner(owner int) bool { return owner >= NoOwner && owner <= math.MaxInt32-2 }
+
+// frameRun is one entry of an owner's frame index: the n frames from
+// base, or, when n is 0, the frames base+i for each bit i set in mask
+// (a 64-frame window). Segments are listed as runs. Single frames are
+// listed in windows, which stay compact when several owners take
+// frames in turn, as a container and its KSM do.
+type frameRun struct {
+	base PFN
+	n    PFN
+	mask uint64
+}
+
+// each calls f for every frame the entries list, in order.
+func each(runs []frameRun, f func(PFN)) {
+	for _, r := range runs {
+		if r.n > 0 {
+			for p := r.base; p < r.base+r.n; p++ {
+				f(p)
+			}
+			continue
+		}
+		for b := r.mask; b != 0; b &= b - 1 {
+			f(r.base + PFN(bits.TrailingZeros64(b)))
+		}
+	}
+}
+
+// ownerIndex lists the frames allocated to one owner, so teardown
+// (FreeOwned) walks what the owner holds rather than the whole
+// machine. Free leaves a freed frame listed (stale); a stale entry is
+// skipped on teardown because the frame's tag no longer matches. The
+// index is compacted once stale entries outnumber live frames by more
+// than indexSlack, which keeps it O(live frames) under any churn.
+type ownerIndex struct {
+	tag    tag // freeTag marks an unused slot of PhysMem.few
+	runs   []frameRun
+	listed int // frames the entries list, stale and duplicate ones included
+	live   int // frames currently allocated to the owner
+	// boot backs runs until an owner needs more entries, so a typical
+	// owner's index allocates nothing.
+	boot [8]frameRun
+}
+
+// indexSlack lets a small owner churn a few frames without compacting
+// on every Free.
+const indexSlack = 64
+
+// addRun lists the n frames from base.
+func (o *ownerIndex) addRun(base PFN, n int) {
+	if k := len(o.runs) - 1; k >= 0 && o.runs[k].n > 0 && o.runs[k].base+o.runs[k].n == base {
+		o.runs[k].n += PFN(n)
+	} else {
+		o.runs = append(o.runs, frameRun{base: base, n: PFN(n)})
+	}
+	o.listed += n
+	o.live += n
+}
+
+// addFrame lists frame p.
+func (o *ownerIndex) addFrame(p PFN) {
+	w, bit := p&^63, uint64(1)<<(p&63)
+	o.live++
+	if k := len(o.runs) - 1; k >= 0 && o.runs[k].n == 0 && o.runs[k].base == w {
+		if o.runs[k].mask&bit != 0 {
+			return // freed and re-allocated since it was listed
+		}
+		o.runs[k].mask |= bit
+	} else {
+		o.runs = append(o.runs, frameRun{base: w, mask: bit})
+	}
+	o.listed++
+}
 
 // PhysMem is the physical memory of one simulated machine. It is not
 // safe for concurrent use; the simulator is single-threaded per machine.
 type PhysMem struct {
-	frames    int
-	pages     map[PFN]*Page
-	allocated []bool
-	owner     []int32
+	frames int
+	pages  map[PFN]*Page
+	tags   []tag
+	// few holds the indexes of the first owners in place, so a machine
+	// with a handful of owners allocates none for them; owned holds the
+	// rest.
+	few   [8]ownerIndex
+	owned map[tag]*ownerIndex
 	// nextFree is a rotating scan cursor for single-frame allocation.
 	nextFree PFN
 	// segCursor is a bump cursor for contiguous segment allocation; the
@@ -102,15 +193,11 @@ func New(frames int) *PhysMem {
 	m := &PhysMem{
 		frames:    frames,
 		pages:     make(map[PFN]*Page),
-		allocated: make([]bool, frames),
-		owner:     make([]int32, frames),
+		tags:      make([]tag, frames),
 		nextFree:  1,
 		segCursor: PFN(frames),
 	}
-	for i := range m.owner {
-		m.owner[i] = NoOwner
-	}
-	m.allocated[0] = true // reserve frame 0
+	m.tags[0] = tagOf(NoOwner) // reserve frame 0; it is in no owner's index
 	return m
 }
 
@@ -120,8 +207,51 @@ func (m *PhysMem) Frames() int { return m.frames }
 // InUse returns the number of allocated frames (excluding reserved 0).
 func (m *PhysMem) InUse() int { return m.inUse }
 
+// lookup returns t's frame index, or nil when t holds no frames.
+func (m *PhysMem) lookup(t tag) *ownerIndex {
+	for i := range m.few {
+		if m.few[i].tag == t {
+			return &m.few[i]
+		}
+	}
+	return m.owned[t]
+}
+
+// index returns t's frame index, creating it on first use.
+func (m *PhysMem) index(t tag) *ownerIndex {
+	if o := m.lookup(t); o != nil {
+		return o
+	}
+	var o *ownerIndex
+	for i := range m.few {
+		if m.few[i].tag == freeTag {
+			o = &m.few[i]
+			break
+		}
+	}
+	if o == nil {
+		o = new(ownerIndex)
+		if m.owned == nil {
+			m.owned = make(map[tag]*ownerIndex)
+		}
+		m.owned[t] = o
+	}
+	*o = ownerIndex{tag: t}
+	o.runs = o.boot[:0]
+	return o
+}
+
+// drop forgets an index whose owner holds no frames any more.
+func (m *PhysMem) drop(o *ownerIndex) {
+	delete(m.owned, o.tag)
+	*o = ownerIndex{}
+}
+
 // Alloc allocates one frame and assigns it to owner.
 func (m *PhysMem) Alloc(owner int) (PFN, error) {
+	if !validOwner(owner) {
+		return 0, ErrBadOwner
+	}
 	if m.Inj != nil && m.Inj.Fire(faults.HostAlloc) {
 		return 0, ErrOutOfMemory
 	}
@@ -134,10 +264,11 @@ func (m *PhysMem) Alloc(owner int) (PFN, error) {
 		if p >= m.segCursor { // inside the segment region
 			continue
 		}
-		if !m.allocated[p] {
-			m.allocated[p] = true
-			m.owner[p] = int32(owner)
+		if m.tags[p] == freeTag {
+			t := tagOf(owner)
+			m.tags[p] = t
 			m.inUse++
+			m.index(t).addFrame(p)
 			return p, nil
 		}
 	}
@@ -150,6 +281,9 @@ func (m *PhysMem) AllocSegment(n, owner int) (Segment, error) {
 	if n <= 0 {
 		return Segment{}, fmt.Errorf("mem: bad segment size %d", n)
 	}
+	if !validOwner(owner) {
+		return Segment{}, ErrBadOwner
+	}
 	if m.segCursor < PFN(n)+1 {
 		return Segment{}, ErrFragmented
 	}
@@ -157,14 +291,15 @@ func (m *PhysMem) AllocSegment(n, owner int) (Segment, error) {
 	// Ensure the run is genuinely free (the single-frame allocator never
 	// strays above segCursor, but a prior Free could have been misused).
 	for p := base; p < m.segCursor; p++ {
-		if m.allocated[p] {
+		if m.tags[p] != freeTag {
 			return Segment{}, ErrFragmented
 		}
 	}
+	t := tagOf(owner)
 	for p := base; p < m.segCursor; p++ {
-		m.allocated[p] = true
-		m.owner[p] = int32(owner)
+		m.tags[p] = t
 	}
+	m.index(t).addRun(base, n)
 	m.inUse += n
 	m.segCursor = base
 	return Segment{Base: base, Frames: n}, nil
@@ -175,33 +310,66 @@ func (m *PhysMem) Free(p PFN) error {
 	if p == 0 || p >= PFN(m.frames) {
 		return ErrOutOfRange
 	}
-	if !m.allocated[p] {
+	t := m.tags[p]
+	if t == freeTag {
 		return ErrDoubleFree
 	}
-	m.allocated[p] = false
-	m.owner[p] = NoOwner
+	m.tags[p] = freeTag
 	delete(m.pages, p)
 	m.inUse--
+	o := m.lookup(t)
+	o.live--
+	switch {
+	case o.live == 0:
+		m.drop(o)
+	case o.listed > 2*o.live+indexSlack:
+		m.compact(o)
+	}
 	return nil
+}
+
+// compact rewrites o to list exactly the frames still tagged with its
+// owner, once each, all in windows. A frame freed and re-allocated to
+// the same owner can be listed twice; the first visit flips its tag
+// negative to mark it seen, and the tags are restored afterwards. Each
+// compaction drops more than half of the listed entries, so its cost
+// is amortized over the frees that made them stale.
+func (m *PhysMem) compact(o *ownerIndex) {
+	t, old := o.tag, o.runs
+	o.runs, o.listed, o.live = make([]frameRun, 0, len(old)), 0, 0
+	each(old, func(p PFN) {
+		if m.tags[p] == t {
+			m.tags[p] = -t
+			o.addFrame(p)
+		}
+	})
+	each(o.runs, func(p PFN) { m.tags[p] = t })
 }
 
 // FreeOwned releases every frame tagged with owner back to the
 // allocator — the host reclaiming a dead container's memory before
-// booting its replacement. Segment frames freed at the bottom of the
-// segment region move segCursor back up, so repeated crash/restart
-// cycles do not exhaust the contiguous-delegation space.
+// booting its replacement. It walks only the owner's frame index, so
+// teardown costs what the owner holds, not the machine size. Segment
+// frames freed at the bottom of the segment region move segCursor back
+// up, so repeated crash/restart cycles do not exhaust the
+// contiguous-delegation space.
 func (m *PhysMem) FreeOwned(owner int) int {
 	n := 0
-	for p := PFN(1); p < PFN(m.frames); p++ {
-		if m.allocated[p] && int(m.owner[p]) == owner {
-			m.allocated[p] = false
-			m.owner[p] = NoOwner
-			delete(m.pages, p)
-			m.inUse--
-			n++
+	if validOwner(owner) {
+		t := tagOf(owner)
+		if o := m.lookup(t); o != nil {
+			each(o.runs, func(p PFN) {
+				if m.tags[p] == t {
+					m.tags[p] = freeTag
+					delete(m.pages, p)
+					n++
+				}
+			})
+			m.inUse -= n
+			m.drop(o)
 		}
 	}
-	for m.segCursor < PFN(m.frames) && !m.allocated[m.segCursor] {
+	for m.segCursor < PFN(m.frames) && m.tags[m.segCursor] == freeTag {
 		m.segCursor++
 	}
 	return n
@@ -209,15 +377,15 @@ func (m *PhysMem) FreeOwned(owner int) int {
 
 // Owner returns the owner tag of a frame, or NoOwner.
 func (m *PhysMem) Owner(p PFN) int {
-	if p >= PFN(m.frames) {
+	if p >= PFN(m.frames) || m.tags[p] == freeTag {
 		return NoOwner
 	}
-	return int(m.owner[p])
+	return int(m.tags[p]) - 2
 }
 
 // Allocated reports whether frame p is currently allocated.
 func (m *PhysMem) Allocated(p PFN) bool {
-	return p < PFN(m.frames) && m.allocated[p]
+	return p < PFN(m.frames) && m.tags[p] != freeTag
 }
 
 // Page returns the backing contents of frame p, materializing them on
@@ -233,6 +401,25 @@ func (m *PhysMem) Page(p PFN) *Page {
 		m.pages[p] = pg
 	}
 	return pg
+}
+
+// PeekPage returns the backing contents of frame p, or nil when the
+// frame was never written. Unlike Page it never materializes a frame,
+// so a read-only pass over a page-table page can look the frame up
+// once and read its words directly; Word reads a nil page as zeros.
+func (m *PhysMem) PeekPage(p PFN) *Page {
+	if p >= PFN(m.frames) {
+		panic(fmt.Sprintf("mem: PFN %#x out of range", uint64(p)))
+	}
+	return m.pages[p]
+}
+
+// Word returns word i of the page; a nil page (never written) reads 0.
+func (pg *Page) Word(i int) uint64 {
+	if pg == nil {
+		return 0
+	}
+	return pg[i]
 }
 
 // ReadWord reads the 64-bit word at physical address pa (must be 8-byte

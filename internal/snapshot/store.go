@@ -58,6 +58,9 @@ type StoreStats struct {
 	SharedBytes uint64
 	// Breaks counts COW breaks: shares dissolved by a first write.
 	Breaks uint64
+	// DigestIndexes counts digest indexes built: one per snapshot
+	// forked through the store, however many times it is forked.
+	DigestIndexes int
 }
 
 // PageStore deduplicates snapshot page payloads across forks of one
@@ -66,12 +69,34 @@ type StoreStats struct {
 type PageStore struct {
 	mem   *mem.PhysMem
 	pages map[uint64]*masterPage
-	stats StoreStats
+	// digests caches ImageDigests of each snapshot forked through the
+	// store. The store is per machine and single-threaded, so the cache
+	// needs no lock.
+	digests map[*Snapshot]map[PageKey]uint64
+	stats   StoreStats
 }
 
 // NewPageStore creates an empty store over the machine's host memory.
 func NewPageStore(m *mem.PhysMem) *PageStore {
-	return &PageStore{mem: m, pages: make(map[uint64]*masterPage)}
+	return &PageStore{
+		mem:     m,
+		pages:   make(map[uint64]*masterPage),
+		digests: make(map[*Snapshot]map[PageKey]uint64),
+	}
+}
+
+// Digests returns ImageDigests of snap's image, keyed by the image's
+// own PCIDs. It is computed on the first call per snapshot and reused
+// by every later fork, so a snapshot must not change once it has been
+// forked through the store. Callers must not modify the returned map.
+func (ps *PageStore) Digests(snap *Snapshot) map[PageKey]uint64 {
+	if d, ok := ps.digests[snap]; ok {
+		return d
+	}
+	d := ImageDigests(&snap.Image)
+	ps.digests[snap] = d
+	ps.stats.DigestIndexes++
+	return d
 }
 
 // Intern returns the master frame for digest, allocating one under

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -205,5 +206,27 @@ func BenchmarkPageStoreLookup(b *testing.B) {
 		if _, ok := ps.Lookup(uint64(i%digests) * 0x9e3779b97f4a7c15); !ok {
 			b.Fatal("lookup miss")
 		}
+	}
+}
+
+// TestStoreDigestsCached: the store's digest index equals ImageDigests
+// and is built once per snapshot, however often it is asked for.
+func TestStoreDigestsCached(t *testing.T) {
+	s := sample()
+	ps := NewPageStore(mem.New(1 << 12))
+	d := ps.Digests(s)
+	if !reflect.DeepEqual(d, ImageDigests(&s.Image)) {
+		t.Fatal("store digest index differs from ImageDigests")
+	}
+	if again := ps.Digests(s); reflect.ValueOf(again).Pointer() != reflect.ValueOf(d).Pointer() {
+		t.Fatal("second Digests call rebuilt the index")
+	}
+	if n := ps.Stats().DigestIndexes; n != 1 {
+		t.Fatalf("DigestIndexes = %d after two lookups of one snapshot, want 1", n)
+	}
+	other := sample()
+	ps.Digests(other)
+	if n := ps.Stats().DigestIndexes; n != 2 {
+		t.Fatalf("DigestIndexes = %d after a second snapshot, want 2", n)
 	}
 }
